@@ -50,23 +50,26 @@ def deform_conv2d(
     if offsets.shape != expected:
         raise ValueError(f"offsets shape {offsets.shape}, expected {expected}")
 
-    off = offsets.reshape(groups, kh, kw, 2, ho, wo)
-    base_y = (np.arange(ho) * stride - padding)[:, None]
-    base_x = (np.arange(wo) * stride - padding)[None, :]
+    # Offsets regrouped so tap coordinates are laid out (ho, wo, kh, kw):
+    # the sampled array then reshapes straight into a GEMM operand.
+    off = offsets.reshape(groups, kh, kw, 2, ho, wo).transpose(0, 3, 4, 5, 1, 2)
+    base_y = (np.arange(ho) * stride - padding)[:, None, None, None]
+    base_x = (np.arange(wo) * stride - padding)[None, :, None, None]
+    tap_y = np.arange(kh)[:, None]
+    tap_x = np.arange(kw)[None, :]
     group_size = c_in // groups
 
-    tap_y = np.arange(kh)[:, None, None, None]
-    tap_x = np.arange(kw)[None, :, None, None]
-    out = np.zeros((c_out, ho, wo))
+    out = np.zeros((c_out, ho * wo))
     for g in range(groups):
-        x_group = x[g * group_size : (g + 1) * group_size]
-        w_group = weight[:, g * group_size : (g + 1) * group_size]
-        # Gather all kh*kw displaced taps for this group in one
-        # batched bilinear lookup (coordinates shaped (kh, kw, ho, wo)).
-        ys = base_y[None, None] + tap_y + off[g, :, :, 0]
-        xs = base_x[None, None] + tap_x + off[g, :, :, 1]
-        sampled = F.bilinear_sample(x_group, ys, xs)
-        out += np.einsum("ocij,cijhw->ohw", w_group, sampled)
+        channels = slice(g * group_size, (g + 1) * group_size)
+        # All kh*kw displaced taps of this group in one batched bilinear
+        # lookup: (ho, wo, kh, kw, C_g), contracted by one GEMM.
+        ys = base_y + tap_y + off[g, 0]
+        xs = base_x + tap_x + off[g, 1]
+        sampled = F.bilinear_sample(x[channels], ys, xs)
+        w_mat = weight[:, channels].transpose(0, 2, 3, 1).reshape(c_out, -1)
+        out += w_mat @ sampled.reshape(ho * wo, -1).T
+    out = out.reshape(c_out, ho, wo)
     if bias is not None:
         out += bias[:, None, None]
     return out

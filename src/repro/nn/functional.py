@@ -10,10 +10,21 @@ These are the inference-grade primitives every network module in
   where ``C_out`` is the number of *produced* channels (the layer-level
   view), internally mapped onto the scatter formulation.
 
-Direct convolution uses an im2col/GEMM formulation; correctness is
-pinned against ``scipy.signal`` in the test suite, and the fast
-Winograd/FTA kernels in :mod:`repro.core` are in turn pinned against
-these implementations.
+Every convolution contracts through a BLAS GEMM:
+
+* direct convolution: im2col columns, ``(C_out, C_in*kH*kW) @ cols``;
+* transposed convolution: all kernel stamps at once,
+  ``(C_out*kH*kW, C_in) @ (C_in, H*W)``, then a col2im scatter-add;
+* deformable convolution (:mod:`repro.nn.deform`): the channel-last
+  ``(*S, C)`` result of :func:`bilinear_sample` contracted per offset
+  group.
+
+Summation order therefore follows the BLAS build, so results may move
+in the last ulp between builds; within one build they are
+deterministic.  Correctness is pinned against ``scipy.signal`` and
+per-tap references in the test suite, and the fast Winograd/FTA
+kernels in :mod:`repro.core` are in turn pinned against these
+implementations.
 """
 
 from __future__ import annotations
@@ -124,7 +135,8 @@ def conv_transpose2d(
 
     Shapes: x (C_in, H, W), weight (C_out, C_in, kH, kW) -> (C_out,
     (H-1)*s - 2p + kH, ...).  Implemented as scatter-add of weighted
-    kernel stamps, the textbook adjoint of :func:`conv2d`.
+    kernel stamps (one GEMM makes them all), the textbook adjoint of
+    :func:`conv2d`.
     """
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in:
@@ -132,11 +144,10 @@ def conv_transpose2d(
     _, h, w = x.shape
     full_h = (h - 1) * stride + kh
     full_w = (w - 1) * stride + kw
-    # GEMM formulation: cols = W^T X, then col2im scatter.
-    x_mat = x.reshape(c_in, -1)  # (C_in, H*W)
-    w_mat = weight.reshape(c_out, c_in, kh * kw)
-    # stamps: (C_out, kH*kW, H*W)
-    stamps = np.einsum("oik,il->okl", w_mat, x_mat)
+    # One GEMM makes every weighted stamp, rows ordered (C_out, kH, kW):
+    # (C_out*kH*kW, C_in) @ (C_in, H*W); col2im then scatters them.
+    w_mat = weight.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+    stamps = w_mat @ x.reshape(c_in, h * w)
     out = np.zeros((c_out, full_h, full_w))
     stamps = stamps.reshape(c_out, kh, kw, h, w)
     for dy in range(kh):
@@ -210,34 +221,59 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return expd / expd.sum(axis=axis, keepdims=True)
 
 
+#: Samples per block in :func:`bilinear_sample`, as a count of output
+#: values: a block's corner temporaries (samples x C float64, 512 KiB)
+#: then stay in a per-core L2 cache instead of streaming through DRAM.
+_SAMPLE_BLOCK_VALUES = 1 << 16
+
+
 def bilinear_sample(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample (C, H, W) at fractional coordinates with border clamping.
 
-    ``ys``/``xs`` share an arbitrary shape S; the result is (C, *S).
-    This is the sampling kernel of the deformable convolution (DfConv)
-    in the paper's deformable compensation module.
+    ``ys``/``xs`` share an arbitrary shape S; the result is channel-last,
+    ``(*S, C)``, so a caller can contract it with one GEMM.  This is the
+    sampling kernel of the deformable convolution (DfConv) in the
+    paper's deformable compensation module.
+
+    The gather reads a channel-last ``(H*W, C)`` copy of the source: each
+    corner index fetches one contiguous row of C values.  Samples are
+    taken in cache-sized blocks; per block the four corner weights are
+    formed once and the corners accumulate in place.
     """
     c, h, w = x.shape
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = ys - y0
-    fx = xs - x0
-    # Gather through flat indices on a (C, H*W) view: one stride of
-    # advanced indexing instead of four broadcasted 2-axis lookups.
-    flat = np.ascontiguousarray(x).reshape(c, h * w)
-    row0 = y0 * w
-    row1 = y1 * w
-    tl = flat[:, row0 + x0]
-    tr = flat[:, row0 + x1]
-    bl = flat[:, row1 + x0]
-    br = flat[:, row1 + x1]
-    return (
-        tl * (1 - fy) * (1 - fx)
-        + tr * (1 - fy) * fx
-        + bl * fy * (1 - fx)
-        + br * fy * fx
-    )
+    ys, xs = np.broadcast_arrays(ys, xs)
+    shape = ys.shape
+    ys = ys.reshape(-1)
+    xs = xs.reshape(-1)
+    rows = np.ascontiguousarray(
+        x.transpose(1, 2, 0), dtype=np.result_type(x, ys, xs, 1.0)
+    ).reshape(h * w, c)
+    out = np.empty((ys.size, c), dtype=rows.dtype)
+    block = max(1, _SAMPLE_BLOCK_VALUES // c)
+    for start in range(0, ys.size, block):
+        part = slice(start, start + block)
+        by = np.clip(ys[part], 0.0, h - 1.0)
+        bx = np.clip(xs[part], 0.0, w - 1.0)
+        y0 = np.floor(by)
+        x0 = np.floor(bx)
+        fy = (by - y0)[:, None]
+        fx = (bx - x0)[:, None]
+        y0 = y0.astype(np.intp)
+        x0 = x0.astype(np.intp)
+        row0 = y0 * w
+        row1 = np.minimum(y0 + 1, h - 1) * w
+        x1 = np.minimum(x0 + 1, w - 1)
+        gy = 1.0 - fy
+        gx = 1.0 - fx
+        acc = out[part]
+        np.take(rows, row0 + x0, axis=0, out=acc)
+        acc *= gy * gx
+        for index, weight in (
+            (row0 + x1, gy * fx),
+            (row1 + x0, fy * gx),
+            (row1 + x1, fy * fx),
+        ):
+            corner = rows[index]
+            corner *= weight
+            acc += corner
+    return out.reshape(*shape, c)

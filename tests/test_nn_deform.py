@@ -12,7 +12,58 @@ def rng():
     return np.random.default_rng(4)
 
 
+def _per_tap_reference(x, offsets, weight, stride, padding, groups):
+    """Deformable conv one tap at a time: an independent bilinear lookup
+    per (group, tap) contracted by einsum, accumulated over taps."""
+    c_out, c_in, kh, kw = weight.shape
+    _, h, w = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    off = offsets.reshape(groups, kh, kw, 2, ho, wo)
+    base_y = (np.arange(ho) * stride - padding)[:, None]
+    base_x = (np.arange(wo) * stride - padding)[None, :]
+    size = c_in // groups
+    out = np.zeros((c_out, ho, wo))
+    for g in range(groups):
+        xg = x[g * size : (g + 1) * size]
+        for i in range(kh):
+            for j in range(kw):
+                ys = np.clip(base_y + i + off[g, i, j, 0], 0.0, h - 1.0)
+                xs = np.clip(base_x + j + off[g, i, j, 1], 0.0, w - 1.0)
+                y0 = np.floor(ys).astype(int)
+                x0 = np.floor(xs).astype(int)
+                y1 = np.minimum(y0 + 1, h - 1)
+                x1 = np.minimum(x0 + 1, w - 1)
+                fy = ys - y0
+                fx = xs - x0
+                sampled = (
+                    xg[:, y0, x0] * (1 - fy) * (1 - fx)
+                    + xg[:, y0, x1] * (1 - fy) * fx
+                    + xg[:, y1, x0] * fy * (1 - fx)
+                    + xg[:, y1, x1] * fy * fx
+                )
+                tap = weight[:, g * size : (g + 1) * size, i, j]
+                out += np.einsum("oc,chw->ohw", tap, sampled)
+    return out
+
+
 class TestDeformConv2d:
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fractional_offsets_match_per_tap_reference(self, rng, groups, stride):
+        """Random fractional offsets (some pushing taps past the border)
+        on an odd-sized input agree with the per-tap oracle."""
+        x = rng.standard_normal((4, 9, 11))
+        w = rng.standard_normal((6, 4, 3, 3))
+        b = rng.standard_normal(6)
+        ho = F.conv_output_size(9, 3, stride, 1)
+        wo = F.conv_output_size(11, 3, stride, 1)
+        offsets = 2.5 * rng.standard_normal((2 * groups * 9, ho, wo))
+        out = deform_conv2d(x, offsets, w, b, stride, 1, groups)
+        ref = _per_tap_reference(x, offsets, w, stride, 1, groups)
+        assert out.shape == (6, ho, wo)
+        assert np.abs(out - b[:, None, None] - ref).max() < 1e-12
+
     def test_zero_offsets_match_plain_conv(self, rng):
         """DfConv with all-zero offsets must equal the regular conv."""
         x = rng.standard_normal((4, 10, 10))

@@ -58,19 +58,32 @@ class TestConv2d:
 
 
 class TestConvTranspose2d:
-    def test_adjoint_property(self, rng):
+    @pytest.mark.parametrize(
+        "c_x,c_y,k,stride,padding,size",
+        [
+            (3, 5, 3, 2, 1, 11),
+            (6, 6, 4, 2, 0, 12),  # DeConv(N, 4, 2) of the synthesis stages
+            (6, 6, 4, 2, 1, 12),
+            (3, 36, 4, 2, 0, 12),  # DeConv(3, 4, 2): 36 channels back to 3
+        ],
+        ids=["k3-s2-p1", "k4-s2-p0", "k4-s2-p1", "k4-s2-p0-36to3"],
+    )
+    def test_adjoint_property(self, rng, c_x, c_y, k, stride, padding, size):
         """<conv(x), y> == <x, conv_transpose(y)> — the defining identity.
 
         Size chosen so the strided conv tiles exactly ((H + 2p - k)
         divisible by s), making the transposed conv restore H."""
-        x = rng.standard_normal((3, 11, 11))
-        w = rng.standard_normal((5, 3, 3, 3))
-        y_shape_out = F.conv2d(x, w, None, 2, 1)
-        y = rng.standard_normal(y_shape_out.shape)
-        lhs = float(np.sum(F.conv2d(x, w, None, 2, 1) * y))
-        # conv_transpose goes from 5 channels back to 3: weight (3, 5, 3, 3)
+        x = rng.standard_normal((c_x, size, size))
+        w = rng.standard_normal((c_y, c_x, k, k))
+        conv_x = F.conv2d(x, w, None, stride, padding)
+        y = rng.standard_normal(conv_x.shape)
+        lhs = float(np.sum(conv_x * y))
+        # conv_transpose goes from c_y channels back to c_x: weight
+        # (c_x, c_y, k, k)
         wt = np.transpose(w, (1, 0, 2, 3))
-        rhs = float(np.sum(x * F.conv_transpose2d(y, wt, None, 2, 1)))
+        back = F.conv_transpose2d(y, wt, None, stride, padding)
+        assert back.shape == x.shape
+        rhs = float(np.sum(x * back))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @pytest.mark.parametrize("stride,padding,k", [(2, 1, 4), (2, 0, 4), (1, 1, 3), (2, 1, 2)])
@@ -154,15 +167,52 @@ class TestBilinearSample:
         x = rng.standard_normal((2, 6, 6))
         ys, xs = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
         out = F.bilinear_sample(x, ys, xs)
-        assert np.abs(out - x).max() < 1e-12
+        assert out.shape == (6, 6, 2)  # channel-last (*S, C)
+        assert np.abs(out - x.transpose(1, 2, 0)).max() < 1e-12
 
     def test_halfway_interpolation(self):
         x = np.zeros((1, 2, 2))
         x[0] = [[0.0, 2.0], [4.0, 6.0]]
         out = F.bilinear_sample(x, np.array([[0.5]]), np.array([[0.5]]))
+        assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(3.0)
 
     def test_border_clamp(self):
-        x = np.ones((1, 4, 4)) * 5.0
+        x = np.ones((2, 4, 4)) * np.array([5.0, -1.0])[:, None, None]
         out = F.bilinear_sample(x, np.array([[-3.0]]), np.array([[99.0]]))
-        assert out[0, 0, 0] == pytest.approx(5.0)
+        assert out.shape == (1, 1, 2)
+        assert out[0, 0] == pytest.approx([5.0, -1.0])
+
+    def test_non_contiguous_input_matches_copy(self, rng):
+        x = rng.standard_normal((6, 7, 9))[1::2]
+        assert not x.flags.c_contiguous
+        ys = rng.uniform(-1.0, 8.0, (5, 3))
+        xs = rng.uniform(-1.0, 10.0, (5, 3))
+        out = F.bilinear_sample(x, ys, xs)
+        assert np.array_equal(out, F.bilinear_sample(np.ascontiguousarray(x), ys, xs))
+
+    def test_blocks_match_channel_first_reference(self, rng):
+        """Enough samples to span several gather blocks (the last one
+        partial) agree with a direct channel-first formulation."""
+        c = 64
+        x = rng.standard_normal((c, 5, 7))
+        n = F._SAMPLE_BLOCK_VALUES // c * 5 // 2
+        ys = rng.uniform(-1.0, 6.0, n)
+        xs = rng.uniform(-1.0, 8.0, n)
+        out = F.bilinear_sample(x, ys, xs)
+        cy = np.clip(ys, 0.0, 4.0)
+        cx = np.clip(xs, 0.0, 6.0)
+        y0 = np.floor(cy).astype(int)
+        x0 = np.floor(cx).astype(int)
+        y1 = np.minimum(y0 + 1, 4)
+        x1 = np.minimum(x0 + 1, 6)
+        fy = cy - y0
+        fx = cx - x0
+        ref = (
+            x[:, y0, x0] * (1 - fy) * (1 - fx)
+            + x[:, y0, x1] * (1 - fy) * fx
+            + x[:, y1, x0] * fy * (1 - fx)
+            + x[:, y1, x1] * fy * fx
+        )
+        assert out.shape == (n, c)
+        assert np.abs(out - ref.T).max() < 1e-12
