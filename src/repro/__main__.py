@@ -1023,7 +1023,9 @@ def _cmd_retry(args) -> int:
             file=sys.stderr,
         )
         return 2
-    job_ids = sorted(queue.failures()) if args.all else list(args.job_ids)
+    job_ids = (
+        sorted(queue.failure_details()) if args.all else list(args.job_ids)
+    )
     retried, missing = [], []
     for job_id in job_ids:
         (retried if queue.retry(job_id) else missing).append(job_id)

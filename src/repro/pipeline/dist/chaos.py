@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import get_registry
@@ -189,8 +190,9 @@ class ChaosQueue:
 
     The proxy is itself a valid ``JobQueue`` (it passes the runtime
     protocol check), so runners, workers, and servers accept it
-    anywhere a queue goes.  Reads (stats, results, failures) are never
-    faulted: observation must stay trustworthy or nothing is testable.
+    anywhere a queue goes.  Reads (stats, results, dead letters) are
+    never faulted: observation must stay trustworthy or nothing is
+    testable.
     """
 
     def __init__(self, inner: JobQueue, plan: ChaosPlan):
@@ -203,13 +205,17 @@ class ChaosQueue:
             self.inner.submit(spec, job_id=job_id)
         return self.inner.submit(spec, job_id=job_id)
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
+    def claim_batch(
+        self, worker_id: str, *, lease_seconds: float, limit: int = 1
+    ) -> list[Job]:
+        # Theft and delay fire at most once per claim call, whatever
+        # the bundle size.
         if self.plan.take("lease-theft", "claim"):
-            stolen = self.inner.claim(
+            for stolen in self.inner.claim_batch(
                 "chaos-thief",
                 lease_seconds=self.plan.theft_lease_seconds,
-            )
-            if stolen is not None:
+                limit=1,
+            ):
                 # The thief vanishes without acking; record who got hit
                 # so the per-job ledger sees the (single) fault.
                 self.plan.events.append(
@@ -220,40 +226,10 @@ class ChaosQueue:
                     }
                 )
         if self.plan.take("claim-delay", "claim"):
-            import time as _time
-
-            _time.sleep(self.plan.delay_seconds)
-        return self.inner.claim(worker_id, lease_seconds=lease_seconds)
-
-    def claim_batch(
-        self, worker_id: str, *, lease_seconds: float, limit: int = 1
-    ) -> list[Job]:
-        # Explicit wrapper (not __getattr__ delegation) so bundled
-        # claims stay inside the fault plan: the same theft/delay
-        # faults fire once per bundle claim, exactly as for ``claim``.
-        if self.plan.take("lease-theft", "claim"):
-            stolen = self.inner.claim(
-                "chaos-thief",
-                lease_seconds=self.plan.theft_lease_seconds,
-            )
-            if stolen is not None:
-                self.plan.events.append(
-                    {
-                        "fault": "lease-theft",
-                        "op": "claim",
-                        "job_id": stolen.job_id,
-                    }
-                )
-        if self.plan.take("claim-delay", "claim"):
-            import time as _time
-
-            _time.sleep(self.plan.delay_seconds)
-        if hasattr(self.inner, "claim_batch"):
-            return self.inner.claim_batch(
-                worker_id, lease_seconds=lease_seconds, limit=limit
-            )
-        job = self.inner.claim(worker_id, lease_seconds=lease_seconds)
-        return [] if job is None else [job]
+            time.sleep(self.plan.delay_seconds)
+        return self.inner.claim_batch(
+            worker_id, lease_seconds=lease_seconds, limit=limit
+        )
 
     def ack(
         self, job_id: str, result: dict, *, worker_id: str | None = None
@@ -275,20 +251,17 @@ class ChaosQueue:
     def reap_expired(self) -> list[str]:
         return self.inner.reap_expired()
 
+    def attempts_map(self, job_ids) -> dict[str, int]:
+        return self.inner.attempts_map(job_ids)
+
     def stats(self):
         return self.inner.stats()
 
     def finished_ids(self) -> set[str]:
         return self.inner.finished_ids()
 
-    def results(self) -> dict[str, dict]:
-        return self.inner.results()
-
     def results_page(self, *, after: str | None = None, limit: int = 100):
         return self.inner.results_page(after=after, limit=limit)
-
-    def failures(self) -> dict[str, str]:
-        return self.inner.failures()
 
     def failure_details(self) -> dict[str, dict]:
         return self.inner.failure_details()

@@ -33,24 +33,23 @@ into one response — see ``QueueRunner``'s drain loop.
 Every endpoint speaks JSON.  ``POST`` bodies are JSON objects; ``GET``
 parameters ride in the query string.  Success is HTTP 200 with a JSON
 body; a malformed request is 400, an unknown endpoint 404, an internal
-failure 500 — all with ``{"error": ...}``.
+failure 500 — all with ``{"error": ...}``.  ``/claim``'s ``batch``
+defaults to 1.
 
 | endpoint          | request                                      | response |
 |-------------------|----------------------------------------------|----------|
 | ``POST /submit``  | ``{"spec": {...}, "job_id": "..."}``         | ``{"job_id": "..."}`` |
-| ``POST /claim``   | ``{"worker_id": "...", "lease_seconds": s}`` | ``{"job": null | {"job_id", "spec", "attempts"}}`` |
-| ``POST /claim`` (batch) | ``{"worker_id", "lease_seconds", "batch": n}`` | ``{"jobs": [{"job_id", "spec", "attempts"}, ...], "job": first | null}`` |
+| ``POST /claim``   | ``{"worker_id", "lease_seconds", "batch"?: n}`` | ``{"jobs": [{"job_id", "spec", "attempts"}, ...]}`` |
 | ``POST /ack``     | ``{"job_id", "result", "worker_id"?}``       | ``{"accepted": bool}`` |
 | ``POST /fail``    | ``{"job_id", "error"}``                      | ``{"ok": true}`` |
 | ``POST /reap``    | ``{}``                                       | ``{"reaped": [ids]}`` |
-| ``GET /attempts`` | ``?job_id=<id>``                             | ``{"attempts": n}`` |
+| ``POST /attempts`` | ``{"job_ids": [ids]}``                      | ``{"attempts_map": {id: n}}`` |
 | ``POST /heartbeat`` | worker heartbeat document                  | ``{"ok": true}`` |
 | ``GET /stats``    | —                                            | ``{"pending", "claimed", "done", "failed", "workers"}`` |
 | ``GET /metrics``  | —                                            | fleet-merged metrics, Prometheus text |
 | ``GET /trace``    | ``?limit=<n>``                               | fleet flight-recorder tail, JSONL |
 | ``GET /finished`` | —                                            | ``{"finished": [ids]}`` |
 | ``GET /results``  | ``?after=<id>&limit=<n>``                    | ``{"results": {id: doc}, "next": id | null}`` |
-| ``GET /failures`` | —                                            | ``{"failures": {id: error}}`` |
 | ``GET /failure-details`` | —                                     | ``{"failures": {id: {"error", "attempts", "spec", "quarantined"?}}}`` |
 | ``POST /retry``   | ``{"job_id": "..."}``                        | ``{"retried": bool}`` |
 | ``POST /quarantine`` | ``{"job_id": "...", "reason"?: "..."}``   | ``{"quarantined": bool}`` |
@@ -145,36 +144,20 @@ def _ep_submit(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_claim(server: "QueueServer", body: dict) -> dict:
-    worker_id = str(body["worker_id"])
-    lease_seconds = float(body.get("lease_seconds", 60.0))
+    # One request, up to ``batch`` jobs, one shared lease deadline.
     batch = int(body.get("batch", 1))
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > 1:
-        # Bundle claim: one request, up to ``batch`` jobs, one shared
-        # lease deadline.  ``"job"`` carries the first job so an old
-        # client pointed at a new server still works.
-        if hasattr(server.queue, "claim_batch"):
-            jobs = server.queue.claim_batch(
-                worker_id, lease_seconds=lease_seconds, limit=batch
-            )
-        else:  # custom backing queue without bundling: loop single claims
-            jobs = []
-            while len(jobs) < batch:
-                job = server.queue.claim(worker_id, lease_seconds=lease_seconds)
-                if job is None:
-                    break
-                jobs.append(job)
-        documents = [
+    jobs = server.queue.claim_batch(
+        str(body["worker_id"]),
+        lease_seconds=float(body.get("lease_seconds", 60.0)),
+        limit=batch,
+    )
+    return {
+        "jobs": [
             {"job_id": j.job_id, "spec": j.spec, "attempts": j.attempts}
             for j in jobs
         ]
-        return {"jobs": documents, "job": documents[0] if documents else None}
-    job = server.queue.claim(worker_id, lease_seconds=lease_seconds)
-    if job is None:
-        return {"job": None}
-    return {
-        "job": {"job_id": job.job_id, "spec": job.spec, "attempts": job.attempts}
     }
 
 
@@ -185,8 +168,7 @@ def _ep_ack(server: "QueueServer", body: dict) -> dict:
         dict(body["result"]),
         worker_id=None if worker_id is None else str(worker_id),
     )
-    # a pre-stale-ack custom queue may return None; that meant accepted
-    return {"accepted": True if accepted is None else bool(accepted)}
+    return {"accepted": bool(accepted)}
 
 
 def _ep_fail(server: "QueueServer", body: dict) -> dict:
@@ -199,21 +181,13 @@ def _ep_reap(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_attempts(server: "QueueServer", body: dict) -> dict:
-    if "job_ids" in body:
-        # Bulk form: one round-trip for a whole sweep's counters, so
-        # the runner's poison breaker costs O(1) requests per check
-        # instead of one per unfinished job.
-        ids = [j for j in str(body["job_ids"]).split(",") if j]
-        if not hasattr(server.queue, "attempts"):
-            return {"attempts_map": {job_id: 0 for job_id in ids}}
-        return {
-            "attempts_map": {
-                job_id: int(server.queue.attempts(job_id)) for job_id in ids
-            }
-        }
-    if not hasattr(server.queue, "attempts"):
-        return {"attempts": 0}  # custom queue without the counter
-    return {"attempts": int(server.queue.attempts(str(body["job_id"])))}
+    # One round-trip for a whole sweep's counters, so the runner's
+    # poison breaker costs O(1) requests per check.  The ids ride in
+    # the body: thousands of them overflow a request line.
+    ids = body["job_ids"]
+    if not isinstance(ids, list):
+        raise TypeError(f"job_ids must be a list, got {type(ids).__name__}")
+    return {"attempts_map": server.queue.attempts_map([str(j) for j in ids])}
 
 
 def _ep_heartbeat(server: "QueueServer", body: dict) -> dict:
@@ -256,51 +230,21 @@ def _ep_finished(server: "QueueServer", body: dict) -> dict:
 
 
 def _ep_results(server: "QueueServer", body: dict) -> dict:
-    after = body.get("after") or None
-    limit = int(body.get("limit", 100))
-    if hasattr(server.queue, "results_page"):
-        page, cursor = server.queue.results_page(after=after, limit=limit)
-    else:  # custom queue without pagination: slice its full dict
-        everything = server.queue.results()
-        ids = sorted(
-            job_id for job_id in everything
-            if after is None or job_id > after
-        )[:limit]
-        page = {job_id: everything[job_id] for job_id in ids}
-        cursor = ids[-1] if ids else None
+    page, cursor = server.queue.results_page(
+        after=body.get("after") or None, limit=int(body.get("limit", 100))
+    )
     return {"results": page, "next": cursor}
 
 
-def _ep_failures(server: "QueueServer", body: dict) -> dict:
-    return {"failures": dict(server.queue.failures())}
-
-
 def _ep_failure_details(server: "QueueServer", body: dict) -> dict:
-    if hasattr(server.queue, "failure_details"):
-        return {"failures": dict(server.queue.failure_details())}
-    # custom queue predating the dead-letter ledger: degrade to errors
-    return {
-        "failures": {
-            job_id: {"error": error, "attempts": 0, "spec": {}}
-            for job_id, error in server.queue.failures().items()
-        }
-    }
+    return {"failures": dict(server.queue.failure_details())}
 
 
 def _ep_retry(server: "QueueServer", body: dict) -> dict:
-    if not hasattr(server.queue, "retry"):
-        raise ValueError(
-            f"backend {type(server.queue).__name__} does not support retry"
-        )
     return {"retried": bool(server.queue.retry(str(body["job_id"])))}
 
 
 def _ep_quarantine(server: "QueueServer", body: dict) -> dict:
-    if not hasattr(server.queue, "quarantine"):
-        raise ValueError(
-            f"backend {type(server.queue).__name__} does not support "
-            "quarantine"
-        )
     return {
         "quarantined": bool(
             server.queue.quarantine(
@@ -318,14 +262,13 @@ _ROUTES = {
     ("GET", "/trace"): _ep_trace,
     ("GET", "/finished"): _ep_finished,
     ("GET", "/results"): _ep_results,
-    ("GET", "/attempts"): _ep_attempts,
-    ("GET", "/failures"): _ep_failures,
     ("GET", "/failure-details"): _ep_failure_details,
     ("POST", "/submit"): _ep_submit,
     ("POST", "/claim"): _ep_claim,
     ("POST", "/ack"): _ep_ack,
     ("POST", "/fail"): _ep_fail,
     ("POST", "/reap"): _ep_reap,
+    ("POST", "/attempts"): _ep_attempts,
     ("POST", "/retry"): _ep_retry,
     ("POST", "/quarantine"): _ep_quarantine,
     ("POST", "/heartbeat"): _ep_heartbeat,
@@ -656,7 +599,7 @@ class HttpJobQueue:
       ``max_backoff_seconds``), then raise :class:`HttpQueueError`.
       HTTP-level errors (4xx/5xx) never retry: the server answered.
 
-    Retrying ``claim`` is not idempotent — if the response (not the
+    Retrying ``claim_batch`` is not idempotent — if the response (not the
     request) was lost, a lease is orphaned server-side and recovered
     by normal expiry.  All other verbs are idempotent by protocol.
 
@@ -842,26 +785,15 @@ class HttpJobQueue:
             )["job_id"]
         )
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        job = self._request(
-            "POST",
-            "/claim",
-            {"worker_id": worker_id, "lease_seconds": lease_seconds},
-        )["job"]
-        if job is None:
-            return None
-        return Job(job["job_id"], job["spec"], int(job.get("attempts", 0)))
-
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
     ) -> list[Job]:
         """Claim up to ``limit`` jobs in **one** HTTP round-trip.
 
         This is the transport win bundling exists for: N tiny jobs cost
-        one request instead of N.  The same retry caveat as ``claim``
-        applies, once per bundle instead of once per job: a lost
-        *response* orphans the whole bundle's lease, which expires and
-        is reaped like any dead worker's."""
+        one request instead of N.  A lost *response* orphans the whole
+        bundle's lease, which expires and is reaped like any dead
+        worker's."""
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         payload = self._request(
@@ -873,13 +805,9 @@ class HttpJobQueue:
                 "batch": limit,
             },
         )
-        if "jobs" in payload:
-            documents = payload["jobs"]
-        else:  # pre-batch server: it honored the claim as a single
-            documents = [payload["job"]] if payload.get("job") else []
         return [
             Job(doc["job_id"], doc["spec"], int(doc.get("attempts", 0)))
-            for doc in documents
+            for doc in payload["jobs"]
         ]
 
     def ack(
@@ -899,22 +827,12 @@ class HttpJobQueue:
     def reap_expired(self) -> list[str]:
         return list(self._request("POST", "/reap", {})["reaped"])
 
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures)."""
-        return int(
-            self._request("GET", "/attempts", query={"job_id": job_id})[
-                "attempts"
-            ]
-        )
-
     def attempts_map(self, job_ids) -> dict[str, int]:
         """Attempt counters for many jobs in one round-trip."""
         ids = list(job_ids)
         if not ids:
             return {}
-        payload = self._request(
-            "GET", "/attempts", query={"job_ids": ",".join(ids)}
-        )
+        payload = self._request("POST", "/attempts", {"job_ids": ids})
         return {k: int(v) for k, v in payload["attempts_map"].items()}
 
     def stats(self) -> QueueStats:
@@ -940,20 +858,6 @@ class HttpJobQueue:
             "GET", "/results", query={"after": after, "limit": limit}
         )
         return dict(payload["results"]), payload.get("next")
-
-    def results(self) -> dict[str, dict]:
-        """Drain every result — by page, so the server never has to
-        serialize the whole result set into one response."""
-        out: dict[str, dict] = {}
-        cursor: str | None = None
-        while True:
-            page, cursor = self.results_page(after=cursor, limit=100)
-            if not page:
-                return out
-            out.update(page)
-
-    def failures(self) -> dict[str, str]:
-        return dict(self._request("GET", "/failures")["failures"])
 
     def failure_details(self) -> dict[str, dict]:
         """Dead-letter ledger: error, attempts, spec per failed job."""

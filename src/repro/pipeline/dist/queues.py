@@ -45,6 +45,8 @@ import os
 import re
 import threading
 import time
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -107,15 +109,14 @@ class JobQueue(Protocol):
     * ``submit`` is idempotent per ``job_id`` — resubmitting an id that
       is already pending, claimed, done, or failed is a no-op returning
       the id, so a resumed sweep can replay its whole grid.
-    * ``claim`` transfers one pending job to the caller under a lease;
-      ``None`` means nothing is pending right now (work may still be
-      claimed by others — check :meth:`stats`).
     * ``claim_batch`` transfers up to ``limit`` pending jobs in one
       call — a *bundle* — under one lease deadline, amortizing queue
-      round-trips over many tiny jobs.  Acks stay per-job: a worker
-      that dies after acking job *k* of *N* strands only the unacked
-      remainder, which ``reap_expired`` returns to pending when the
-      shared deadline passes.  An empty list means nothing is pending.
+      round-trips over many tiny jobs (``limit=1`` is the plain single
+      claim).  Acks stay per-job: a worker that dies after acking job
+      *k* of *N* strands only the unacked remainder, which
+      ``reap_expired`` returns to pending when the shared deadline
+      passes.  An empty list means nothing is pending right now (work
+      may still be claimed by others — check :meth:`stats`).
     * ``ack`` finishes a claimed job with its result document and
       returns ``True``.  A **stale** ack — the job's lease was already
       reaped (and possibly reassigned to another worker, when
@@ -127,16 +128,16 @@ class JobQueue(Protocol):
       has been attempted ``max_attempts`` times, then dead-letters.
     * ``reap_expired`` requeues every claimed job whose lease deadline
       passed (the crashed-worker recovery path).
-    * ``attempts`` reads one job's attempt counter: how many times it
-      has been handed out and lost (lease reaps and recorded failures
-      both bump it, whoever triggers them).  Monotonic until ``retry``
-      resets it — which makes it the poison-job circuit breaker's
-      evidence: the runner can see a job churning through workers even
-      when worker threads win every ``reap_expired`` race.
+    * ``attempts_map`` reads the attempt counters of many jobs at
+      once: how many times each has been handed out and lost (lease
+      reaps and recorded failures both bump it, whoever triggers
+      them); an unknown id reads 0.  Monotonic until ``retry`` resets
+      it — which makes it the poison-job circuit breaker's evidence:
+      the runner can see a job churning through workers even when
+      worker threads win every ``reap_expired`` race.
     * ``results_page`` reads one lexicographic page of completed
       results after a cursor, so huge grids drain incrementally
-      instead of materializing every payload at once (``results`` is
-      the drain-everything convenience).
+      instead of materializing every payload at once.
     * ``quarantine`` force-dead-letters a pending or claimed job
       *now*, skipping the remaining attempts — the circuit breaker's
       verb for a poison job that keeps killing its workers.  Returns
@@ -144,15 +145,14 @@ class JobQueue(Protocol):
     * ``failure_details`` is the dead-letter ledger: every failed job
       with its error text, attempt count, original spec, and a
       ``quarantined`` marker — enough to triage (``repro failures``)
-      and to resubmit.
+      and to resubmit.  A job's error text is
+      ``failure_details()[job_id]["error"]``.
     * ``retry`` moves one dead-lettered job back to pending with a
       fresh attempt budget (``repro retry``); ``False`` if the id is
       not in the failed set.
     """
 
     def submit(self, spec: dict, *, job_id: str) -> str: ...
-
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None: ...
 
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
@@ -166,19 +166,15 @@ class JobQueue(Protocol):
 
     def reap_expired(self) -> list[str]: ...
 
-    def attempts(self, job_id: str) -> int: ...
+    def attempts_map(self, job_ids: Iterable[str]) -> dict[str, int]: ...
 
     def stats(self) -> QueueStats: ...
 
     def finished_ids(self) -> set[str]: ...
 
-    def results(self) -> dict[str, dict]: ...
-
     def results_page(
         self, *, after: str | None = None, limit: int = 100
     ) -> tuple[dict[str, dict], str | None]: ...
-
-    def failures(self) -> dict[str, str]: ...
 
     def failure_details(self) -> dict[str, dict]: ...
 
@@ -203,7 +199,7 @@ class MemoryJobQueue:
         self._lock = threading.Lock()
         self._specs: dict[str, dict] = {}
         self._attempts: dict[str, int] = {}
-        self._pending: list[str] = []
+        self._pending: deque[str] = deque()
         #: job_id -> (worker_id, monotonic deadline)
         self._claimed: dict[str, tuple[str, float]] = {}
         self._done: dict[str, dict] = {}
@@ -219,17 +215,6 @@ class MemoryJobQueue:
                 self._pending.append(job_id)
         return job_id
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        with self._lock:
-            if not self._pending:
-                return None
-            job_id = self._pending.pop(0)
-            self._claimed[job_id] = (
-                _sanitize(worker_id),
-                time.monotonic() + lease_seconds,
-            )
-            return Job(job_id, dict(self._specs[job_id]), self._attempts[job_id])
-
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
     ) -> list[Job]:
@@ -244,7 +229,7 @@ class MemoryJobQueue:
             deadline = time.monotonic() + lease_seconds
             jobs: list[Job] = []
             while self._pending and len(jobs) < limit:
-                job_id = self._pending.pop(0)
+                job_id = self._pending.popleft()
                 self._claimed[job_id] = (worker, deadline)
                 jobs.append(
                     Job(job_id, dict(self._specs[job_id]), self._attempts[job_id])
@@ -298,10 +283,13 @@ class MemoryJobQueue:
                 reaped.append(job_id)
         return reaped
 
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures)."""
+    def attempts_map(self, job_ids: Iterable[str]) -> dict[str, int]:
+        """How many attempts each job has burned (reaps + failures)."""
         with self._lock:
-            return self._attempts.get(_sanitize(job_id), 0)
+            return {
+                job_id: self._attempts.get(_sanitize(job_id), 0)
+                for job_id in job_ids
+            }
 
     def stats(self) -> QueueStats:
         with self._lock:
@@ -316,10 +304,6 @@ class MemoryJobQueue:
         """Ids in a terminal state — cheap to poll, no payload access."""
         with self._lock:
             return set(self._done) | set(self._failed)
-
-    def results(self) -> dict[str, dict]:
-        with self._lock:
-            return dict(self._done)
 
     def results_page(
         self, *, after: str | None = None, limit: int = 100
@@ -340,10 +324,6 @@ class MemoryJobQueue:
             )[:limit]
             page = {job_id: self._done[job_id] for job_id in ids}
         return page, (ids[-1] if ids else None)
-
-    def failures(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._failed)
 
     def failure_details(self) -> dict[str, dict]:
         """Dead-letter ledger: error, attempts, spec per failed job."""
@@ -516,30 +496,6 @@ class DirectoryJobQueue:
             self._find_job(state, job_id) for state in ("pending", "claimed")
         )
 
-    def claim(self, worker_id: str, *, lease_seconds: float) -> Job | None:
-        worker_id = _sanitize(worker_id)
-        for name in sorted(os.listdir(self._dir("pending"))):
-            if not name.endswith(".json") or ".tmp." in name:
-                continue
-            parsed = self._parse_pending(name)
-            if parsed is None:
-                continue  # junk file; warned, skip, keep scanning
-            job_id, attempts = parsed
-            deadline_ms = int((time.time() + lease_seconds) * 1000)
-            target = os.path.join(
-                self._dir("claimed"),
-                f"{job_id}{_SEP}{attempts}{_SEP}{deadline_ms}{_SEP}"
-                f"{worker_id}.json",
-            )
-            try:
-                os.rename(os.path.join(self._dir("pending"), name), target)
-            except FileNotFoundError:
-                continue  # lost the race; try the next pending job
-            with open(target, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-            return Job(job_id, spec, int(attempts))
-        return None
-
     def claim_batch(
         self, worker_id: str, *, lease_seconds: float, limit: int = 1
     ) -> list[Job]:
@@ -670,31 +626,40 @@ class DirectoryJobQueue:
             reaped.append(job_id)
         return reaped
 
-    def attempts(self, job_id: str) -> int:
-        """How many attempts this job has burned (reaps + failures).
+    def attempts_map(self, job_ids: Iterable[str]) -> dict[str, int]:
+        """How many attempts each job has burned (reaps + failures).
 
         Free to answer: the counter rides in the pending/claimed
         filename and in the failed record, so no state is added — any
-        process sharing the directory sees the same number."""
-        job_id = _sanitize(job_id)
-        for state in ("pending", "claimed"):
-            name = self._find_job(state, job_id)
-            if name is None:
-                continue
-            parsed = (
-                self._parse_pending(name)
-                if state == "pending"
-                else self._parse_claimed(name)
-            )
-            if parsed is not None:
-                return int(parsed[1])
-        try:
-            with open(
-                self._terminal_path("failed", job_id), encoding="utf-8"
-            ) as handle:
-                return int(json.load(handle).get("attempts", 0))
-        except (FileNotFoundError, json.JSONDecodeError, TypeError, ValueError):
-            return 0  # unknown or done: no attempt churn worth reporting
+        process sharing the directory sees the same number.  One
+        listing each of ``pending/`` and ``claimed/`` serves every id;
+        only ids found in neither open their failed record."""
+        asked = {job_id: _sanitize(job_id) for job_id in job_ids}
+        wanted = set(asked.values())
+        found: dict[str, int] = {}
+        for state, parse in (
+            ("pending", self._parse_pending),
+            ("claimed", self._parse_claimed),
+        ):
+            for name in os.listdir(self._dir(state)):
+                if not name.endswith(".json") or ".tmp." in name:
+                    continue
+                job_id = name.split(_SEP, 1)[0]
+                if job_id in wanted and job_id not in found:
+                    parsed = parse(name)
+                    if parsed is not None:
+                        found[job_id] = int(parsed[1])
+        for job_id in wanted - set(found):
+            try:
+                with open(
+                    self._terminal_path("failed", job_id), encoding="utf-8"
+                ) as handle:
+                    found[job_id] = int(json.load(handle).get("attempts", 0))
+            except (
+                FileNotFoundError, json.JSONDecodeError, TypeError, ValueError
+            ):
+                found[job_id] = 0  # unknown or done: no churn to report
+        return {job_id: found[safe] for job_id, safe in asked.items()}
 
     def _count(self, state: str) -> int:
         return sum(
@@ -714,7 +679,7 @@ class DirectoryJobQueue:
     def finished_ids(self) -> set[str]:
         """Ids in a terminal state, from filenames alone — the cheap
         thing to poll (no JSON parsing; result payloads load once via
-        :meth:`results` when the sweep completes)."""
+        :meth:`results_page` as the sweep drains)."""
         out: set[str] = set()
         for state in ("done", "failed"):
             for name in os.listdir(self._dir(state)):
@@ -731,9 +696,6 @@ class DirectoryJobQueue:
             with open(os.path.join(directory, name), encoding="utf-8") as fh:
                 out[name[: -len(".json")]] = json.load(fh)
         return out
-
-    def results(self) -> dict[str, dict]:
-        return self._load_terminal("done")
 
     def results_page(
         self, *, after: str | None = None, limit: int = 100
@@ -765,12 +727,6 @@ class DirectoryJobQueue:
             except FileNotFoundError:
                 continue  # raced with nothing we mind about
         return page, (ids[-1] if ids else None)
-
-    def failures(self) -> dict[str, str]:
-        return {
-            job_id: record.get("error", "unknown error")
-            for job_id, record in self._load_terminal("failed").items()
-        }
 
     def failure_details(self) -> dict[str, dict]:
         """Dead-letter ledger: error, attempts, spec per failed job

@@ -499,8 +499,6 @@ class QueueRunner:
         from submission order — so a job that finishes late but sorts
         early is never skipped.
         """
-        if not hasattr(self.queue, "results_page"):
-            return  # custom queue predating pagination: full read later
         cursor = self._results_cursor
         while True:
             page, last = self.queue.results_page(
@@ -521,45 +519,43 @@ class QueueRunner:
         self._results_cursor = watermark
 
     def _load_finished(self) -> tuple[dict[str, dict], dict[str, str]]:
-        """Terminal payloads for this sweep's jobs (final drain of the
-        incremental cache, or a one-time full read for queues without
-        ``results_page``)."""
+        """Terminal payloads for this sweep's jobs (a final drain of the
+        incremental cache, plus the dead-letter errors)."""
         wanted = set(self.job_ids)
-        if hasattr(self.queue, "results_page"):
-            self._drain_results()
-        else:
-            for job_id, doc in self.queue.results().items():
-                if job_id in wanted:
-                    self._admit(job_id, doc)
+        self._drain_results()
         results = {
             k: v for k, v in self._drained.items() if k in wanted
         }
         failures = {
-            k: v for k, v in self.queue.failures().items() if k in wanted
+            k: v["error"]
+            for k, v in self.queue.failure_details().items()
+            if k in wanted
         }
         for job_id, error in self._checksum_failures.items():
             if job_id in wanted:
                 failures.setdefault(job_id, error)
         return results, failures
 
-    def _poison_attempts(self, job_id: str) -> int:
-        """The breaker's evidence for one job: the queue's monotonic
-        attempt counter when the queue exposes it, else the runner's
-        own count of reaps it happened to win.
+    def _attempt_counts(self, job_ids: list[str]) -> dict[str, int]:
+        """The breaker's evidence: each job's queue-side attempt
+        counter, or the runner's own count of reaps it won if higher.
 
         The queue-side counter is the reliable source — idle workers
         race the runner for ``reap_expired`` and systematically win it
         (a worker's reap restarts the lease on the worker's own poll
         cadence, phase-locking every expiry to a worker poll), so a
         runner that only counts its *own* reaps can watch a poison job
-        kill the entire fleet while observing zero expiries.
+        kill the entire fleet while observing zero expiries.  One bulk
+        read serves every job: over HTTP a per-job read would be a
+        round-trip per unfinished job per check.
         """
-        if hasattr(self.queue, "attempts"):
-            return max(
-                self.queue.attempts(job_id),
-                self._lease_expiries.get(job_id, 0),
+        counts = self.queue.attempts_map(job_ids)
+        return {
+            job_id: max(
+                counts.get(job_id, 0), self._lease_expiries.get(job_id, 0)
             )
-        return self._lease_expiries.get(job_id, 0)
+            for job_id in job_ids
+        }
 
     def _break_poison_jobs(self) -> None:
         """The poison-job circuit breaker.
@@ -569,7 +565,7 @@ class QueueRunner:
         after lease expiry, each one bumping the job's attempt counter.
         Proactively: once a still-unfinished job has burned
         ``poison_threshold`` attempts (read from the queue itself — see
-        :meth:`_poison_attempts` for why runner-observed reaps are not
+        :meth:`_attempt_counts` for why runner-observed reaps are not
         trustworthy evidence), it is quarantined (terminal, excluded
         from claiming) before it can grind through more of the fleet.
         Retroactively: a poison job can exhaust the queue's
@@ -580,26 +576,10 @@ class QueueRunner:
         upgraded to quarantined, so the diagnosis reads the same
         whichever race was won.
         """
-        if not hasattr(self.queue, "quarantine"):
-            return
         wanted = set(self.job_ids)
         unfinished = sorted(wanted - self.queue.finished_ids())
-        counts: dict[str, int] | None = None
-        if hasattr(self.queue, "attempts_map"):
-            # One bulk read instead of a per-job query — over HTTP the
-            # per-job form is a round-trip per unfinished job per check.
-            counts = self.queue.attempts_map(unfinished)
-        for job_id in unfinished:
-            if job_id in self.quarantined:
-                continue
-            if counts is not None:
-                count = max(
-                    counts.get(job_id, 0),
-                    self._lease_expiries.get(job_id, 0),
-                )
-            else:
-                count = self._poison_attempts(job_id)
-            if count < self.poison_threshold:
+        for job_id, count in self._attempt_counts(unfinished).items():
+            if job_id in self.quarantined or count < self.poison_threshold:
                 continue
             reason = (
                 f"poison job: burned {count} attempts with no result and "
@@ -608,9 +588,10 @@ class QueueRunner:
             )
             if self.queue.quarantine(job_id, reason):
                 self.quarantined.append(job_id)
-        for job_id, error in self.queue.failures().items():
+        for job_id, detail in self.queue.failure_details().items():
             if job_id not in wanted or job_id in self.quarantined:
                 continue
+            error = detail["error"]
             if not error.startswith("lease expired"):
                 continue  # a real traceback: broken spec, not poison
             reason = (
@@ -626,13 +607,10 @@ class QueueRunner:
         circuit breaker's backstop — reachable only when every worker
         died *and* the respawn budget is spent, i.e. something is
         systematically killing workers faster than one poison job)."""
-        if not hasattr(self.queue, "quarantine"):
-            return
-        finished = self.queue.finished_ids()
-        for job_id in sorted(wanted - finished):
+        unfinished = sorted(wanted - self.queue.finished_ids())
+        for job_id, attempts in self._attempt_counts(unfinished).items():
             if job_id in self.quarantined:
                 continue
-            attempts = self._poison_attempts(job_id)
             if self.queue.quarantine(
                 job_id,
                 "worker fleet exhausted: all workers dead and the "

@@ -198,7 +198,8 @@ class TestMidBundleCrash:
         # the crash really happened, mid-bundle, exactly once
         assert [c["stage"] for c in crash.crashes] == ["mid-bundle"]
         # and nothing was duplicated: one terminal result per job id
-        assert set(queue.results()) == set(runner.job_ids)
+        page, _ = queue.results_page(limit=len(runner.job_ids) + 1)
+        assert set(page) == set(runner.job_ids)
 
     def test_directory_queue_recovers_mid_bundle_crash(
         self, tmp_path, serial_curves
@@ -334,7 +335,7 @@ class TestPoisonBreaker:
         # other source of truth
         assert queue.retry(poison_id)
         assert queue.stats().pending == 1
-        job = queue.claim("inspector", lease_seconds=30.0)
+        [job] = queue.claim_batch("inspector", lease_seconds=30.0)
         assert job.job_id == poison_id and job.attempts == 0
         assert job.spec == poison_spec("replay")
 
@@ -355,8 +356,8 @@ class TestWatchdog:
             execute=execute,
         )
         assert completed == 1
-        failures = queue.failures()
-        assert "JobTimeoutError" in failures["00000-hung"]
+        failures = queue.failure_details()
+        assert "JobTimeoutError" in failures["00000-hung"]["error"]
         assert "00001-fine" not in failures
 
 
@@ -381,7 +382,7 @@ class TestResultChecksums:
         runner.submit()
         job_id = runner.job_ids[0]
         # a result corrupted after ack: right shape, wrong checksum
-        job = queue.claim("saboteur", lease_seconds=30.0)
+        [job] = queue.claim_batch("saboteur", lease_seconds=30.0)
         assert job.job_id == job_id
         queue.ack(job_id, {"bpp": 1.0, "_crc32": 1}, worker_id="saboteur")
         result = runner.run(poll_seconds=0.02)
@@ -406,5 +407,5 @@ class TestSubmitIdempotencyUnderRetry:
             assert client.stats().pending == 1  # not 2
             assert transport.report()["fired"] == {"lose-response": 1}
             # and the winning spec is the first one
-            job = client.claim("w", lease_seconds=30.0)
+            [job] = client.claim_batch("w", lease_seconds=30.0)
             assert job.spec == {"x": 1}

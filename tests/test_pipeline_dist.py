@@ -12,8 +12,12 @@ import pytest
 from repro.metrics import bd_rate_table, curves_from_reports
 from repro.pipeline import Pipeline, run_many
 from repro.pipeline.dist import (
+    ChaosPlan,
+    ChaosQueue,
     DirectoryJobQueue,
+    HttpJobQueue,
     MemoryJobQueue,
+    QueueServer,
     SweepRunner,
     active_segments,
     job_id_for_spec,
@@ -38,39 +42,72 @@ def _spec(qp=8.0):
     return Pipeline("classical", {"qp": qp}, scene=SCENE).to_dict()
 
 
+def _results(queue):
+    """Every completed result, walked page by page."""
+    out, cursor = {}, None
+    while True:
+        page, cursor = queue.results_page(after=cursor)
+        if not page:
+            return out
+        out.update(page)
+
+
+def _errors(queue):
+    """Dead-lettered job id -> its error text."""
+    return {k: v["error"] for k, v in queue.failure_details().items()}
+
+
 def _claim_and_die(queue_dir, lease_seconds):
     """Worker that dies mid-job: claims, never acks, hard-exits."""
     queue = DirectoryJobQueue(queue_dir)
-    job = queue.claim("doomed-worker", lease_seconds=lease_seconds)
-    assert job is not None
+    assert queue.claim_batch("doomed-worker", lease_seconds=lease_seconds)
     os._exit(1)
 
 
-@pytest.mark.parametrize("make_queue", [
-    lambda tmp: MemoryJobQueue(max_attempts=2),
-    lambda tmp: DirectoryJobQueue(tmp / "q", max_attempts=2),
-], ids=["memory", "directory"])
+@pytest.fixture(params=["memory", "directory", "http", "chaos"])
+def make_queue(request):
+    """Queue factory per backend (``max_attempts=2``): the two local
+    queues, a loopback HTTP client, and a fault-free chaos proxy."""
+    servers = []
+
+    def make(tmp):
+        if request.param == "directory":
+            return DirectoryJobQueue(tmp / "q", max_attempts=2)
+        if request.param == "http":
+            server = QueueServer(MemoryJobQueue(max_attempts=2)).start()
+            servers.append(server)
+            return HttpJobQueue(server.url)
+        queue = MemoryJobQueue(max_attempts=2)
+        if request.param == "chaos":
+            return ChaosQueue(queue, ChaosPlan())  # all budgets zero
+        return queue
+
+    yield make
+    for server in servers:
+        server.stop()
+
+
 class TestQueueProtocol:
     def test_submit_claim_ack_cycle(self, tmp_path, make_queue):
         queue = make_queue(tmp_path)
         job_id = queue.submit({"x": 1}, job_id="job-a")
         assert queue.stats().pending == 1
-        job = queue.claim("w1", lease_seconds=30.0)
+        [job] = queue.claim_batch("w1", lease_seconds=30.0)
         assert job.job_id == job_id and job.spec == {"x": 1}
         assert job.attempts == 0
         assert queue.stats().claimed == 1
-        assert queue.claim("w2", lease_seconds=30.0) is None
+        assert queue.claim_batch("w2", lease_seconds=30.0) == []
         queue.ack(job_id, {"ok": True})
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
-        assert queue.results() == {job_id: {"ok": True}}
+        assert _results(queue) == {job_id: {"ok": True}}
 
     def test_submit_is_idempotent(self, tmp_path, make_queue):
         queue = make_queue(tmp_path)
         queue.submit({"x": 1}, job_id="dup")
         queue.submit({"x": 2}, job_id="dup")  # ignored: id already known
         assert queue.stats().pending == 1
-        job = queue.claim("w", lease_seconds=30.0)
+        [job] = queue.claim_batch("w", lease_seconds=30.0)
         assert job.spec == {"x": 1}
         queue.ack("dup", {})
         queue.submit({"x": 3}, job_id="dup")  # done is terminal too
@@ -79,36 +116,36 @@ class TestQueueProtocol:
     def test_fail_requeues_then_dead_letters(self, tmp_path, make_queue):
         queue = make_queue(tmp_path)  # max_attempts=2
         queue.submit({"x": 1}, job_id="flaky")
-        job = queue.claim("w", lease_seconds=30.0)
+        [job] = queue.claim_batch("w", lease_seconds=30.0)
         queue.fail(job.job_id, "boom 1")
         assert queue.stats().pending == 1  # first failure: retried
-        job = queue.claim("w", lease_seconds=30.0)
+        [job] = queue.claim_batch("w", lease_seconds=30.0)
         assert job.attempts == 1
         queue.fail(job.job_id, "boom 2")
         stats = queue.stats()
         assert (stats.pending, stats.failed) == (0, 1)
-        assert "boom 2" in queue.failures()["flaky"]
+        assert "boom 2" in _errors(queue)["flaky"]
 
     def test_lease_expiry_requeues(self, tmp_path, make_queue):
         queue = make_queue(tmp_path)
         queue.submit({"x": 1}, job_id="leased")
-        assert queue.claim("w1", lease_seconds=0.05) is not None
+        assert queue.claim_batch("w1", lease_seconds=0.05)
         assert queue.reap_expired() == []  # lease still live
         time.sleep(0.08)
         assert queue.reap_expired() == ["leased"]
-        job = queue.claim("w2", lease_seconds=30.0)
+        [job] = queue.claim_batch("w2", lease_seconds=30.0)
         assert job.job_id == "leased" and job.attempts == 1
 
     def test_expiry_exhaustion_dead_letters(self, tmp_path, make_queue):
         queue = make_queue(tmp_path)  # max_attempts=2
         queue.submit({"x": 1}, job_id="lost")
         for _ in range(2):
-            if queue.claim("w", lease_seconds=0.01) is not None:
+            if queue.claim_batch("w", lease_seconds=0.01):
                 time.sleep(0.03)
                 queue.reap_expired()
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.failed) == (0, 0, 1)
-        assert "lease expired" in queue.failures()["lost"]
+        assert "lease expired" in _errors(queue)["lost"]
 
     def test_claim_batch_pops_in_order_under_one_lease(
         self, tmp_path, make_queue
@@ -130,11 +167,12 @@ class TestQueueProtocol:
         assert queue.stats().done == 5
 
     def test_claim_batch_limit_one_equals_claim(self, tmp_path, make_queue):
+        """``limit=1`` (the default) is the single claim."""
         queue = make_queue(tmp_path)
         queue.submit({"x": 1}, job_id="solo")
         (job,) = queue.claim_batch("w1", lease_seconds=30.0, limit=1)
         assert job.job_id == "solo" and job.attempts == 0
-        assert queue.claim("w2", lease_seconds=30.0) is None
+        assert queue.claim_batch("w2", lease_seconds=30.0) == []
 
     def test_claim_batch_rejects_nonpositive_limit(
         self, tmp_path, make_queue
@@ -167,7 +205,27 @@ class TestQueueProtocol:
         for job in retry:
             queue.ack(job.job_id, {"ok": True}, worker_id="survivor")
         assert queue.stats().done == 3
-        assert set(queue.results()) == {"job-0", "job-1", "job-2"}
+        assert set(_results(queue)) == {"job-0", "job-1", "job-2"}
+
+    def test_attempts_map_reads_every_state(self, tmp_path, make_queue):
+        """One bulk read covers a pending, a claimed, a dead-lettered
+        and an unknown id."""
+        queue = make_queue(tmp_path)  # max_attempts=2
+        # one pending job at a time, so every claim's pick is certain
+        for job_id, fails, claim_after in (
+            ("dead", 2, False), ("held", 1, True), ("waiting", 1, False)
+        ):
+            queue.submit({"x": job_id}, job_id=job_id)
+            for _ in range(fails):
+                [job] = queue.claim_batch("w", lease_seconds=30.0)
+                queue.fail(job.job_id, "boom")
+            if claim_after:
+                [job] = queue.claim_batch("w", lease_seconds=30.0)
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.failed) == (1, 1, 1)
+        counts = queue.attempts_map(["waiting", "held", "dead", "nobody"])
+        assert counts == {"waiting": 1, "held": 1, "dead": 2, "nobody": 0}
+        assert queue.attempts_map([]) == {}
 
 
 class TestDirectoryQueue:
@@ -175,19 +233,19 @@ class TestDirectoryQueue:
         root = tmp_path / "q"
         queue = DirectoryJobQueue(root)
         queue.submit({"x": 1}, job_id="persist")
-        queue.claim("w1", lease_seconds=30.0)
+        queue.claim_batch("w1", lease_seconds=30.0)
         queue.ack("persist", {"bpp": 1.0})
         # a fresh instance (fresh process, resumed sweep) sees the result
         again = DirectoryJobQueue(root)
-        assert again.results() == {"persist": {"bpp": 1.0}}
+        assert _results(again) == {"persist": {"bpp": 1.0}}
         assert again.stats().done == 1
 
     def test_concurrent_claim_single_winner(self, tmp_path):
         queue = DirectoryJobQueue(tmp_path / "q")
         queue.submit({"x": 1}, job_id="contested")
-        a = queue.claim("w1", lease_seconds=30.0)
-        b = queue.claim("w2", lease_seconds=30.0)
-        assert (a is None) != (b is None)  # exactly one winner
+        a = queue.claim_batch("w1", lease_seconds=30.0)
+        b = queue.claim_batch("w2", lease_seconds=30.0)
+        assert len(a) + len(b) == 1  # exactly one winner
 
     def test_junk_file_in_claimed_is_skipped_with_warning(
         self, tmp_path, caplog
@@ -199,8 +257,7 @@ class TestDirectoryQueue:
 
         queue = DirectoryJobQueue(tmp_path / "q")
         queue.submit({"x": 1}, job_id="good")
-        job = queue.claim("w1", lease_seconds=0.01)
-        assert job is not None
+        assert queue.claim_batch("w1", lease_seconds=0.01)
         # plant junk alongside the legitimate lease
         claimed_dir = tmp_path / "q" / "claimed"
         (claimed_dir / "not-a-lease.json").write_text("{}")
@@ -208,7 +265,7 @@ class TestDirectoryQueue:
         time.sleep(0.03)
         with caplog.at_level(logging.WARNING, "repro.pipeline.dist.queues"):
             assert queue.reap_expired() == ["good"]  # junk skipped
-            rejob = queue.claim("w2", lease_seconds=30.0)
+            [rejob] = queue.claim_batch("w2", lease_seconds=30.0)
         assert rejob.job_id == "good" and rejob.attempts == 1
         assert any("malformed" in r.message for r in caplog.records)
         # one-time warning: a second scan stays quiet
@@ -216,7 +273,7 @@ class TestDirectoryQueue:
         queue.reap_expired()
         assert len(caplog.records) == count
         queue.ack("good", {"ok": True}, worker_id="w2")
-        assert queue.results() == {"good": {"ok": True}}
+        assert _results(queue) == {"good": {"ok": True}}
 
     def test_junk_file_in_pending_is_skipped_with_warning(
         self, tmp_path, caplog
@@ -227,8 +284,8 @@ class TestDirectoryQueue:
         (tmp_path / "q" / "pending" / "nonsense.json").write_text("{}")
         queue.submit({"x": 1}, job_id="real")
         with caplog.at_level(logging.WARNING, "repro.pipeline.dist.queues"):
-            job = queue.claim("w1", lease_seconds=30.0)
-        assert job is not None and job.job_id == "real"
+            [job] = queue.claim_batch("w1", lease_seconds=30.0)
+        assert job.job_id == "real"
         assert any("malformed" in r.message for r in caplog.records)
 
     def test_late_ack_after_expiry_still_lands(self, tmp_path):
@@ -236,10 +293,10 @@ class TestDirectoryQueue:
         # worker's eventual ack must not be lost or crash.
         queue = DirectoryJobQueue(tmp_path / "q", max_attempts=3)
         queue.submit({"x": 1}, job_id="slow")
-        job = queue.claim("w1", lease_seconds=0.01)
+        [job] = queue.claim_batch("w1", lease_seconds=0.01)
         time.sleep(0.03)
         queue.reap_expired()
-        job2 = queue.claim("w2", lease_seconds=30.0)
+        [job2] = queue.claim_batch("w2", lease_seconds=30.0)
         queue.ack(job2.job_id, {"from": "w2"})
         queue.ack(job.job_id, {"from": "w1"})  # straggler returns
         assert queue.stats().done == 1
@@ -389,7 +446,7 @@ class TestWorkerDeath:
 
         completed = run_worker(queue, "survivor", lease_seconds=60.0)
         assert completed == 2
-        results = queue.results()
+        results = _results(queue)
         assert len(results) == 2
         # the re-run job's report equals a clean serial run (jobs are
         # pure functions of their spec, so the retry changes nothing)
@@ -413,7 +470,7 @@ class TestWorkerDeath:
         queue = DirectoryJobQueue(root, max_attempts=3)
         spec = _spec(8.0)
         queue.submit(spec, job_id=job_id_for_spec(0, spec))
-        assert queue.claim("dead-run", lease_seconds=0.05) is not None
+        assert queue.claim_batch("dead-run", lease_seconds=0.05)
         time.sleep(0.08)  # lease orphaned and expired
 
         runner = SweepRunner([spec], queue_dir=root, workers=0)
@@ -497,8 +554,8 @@ class TestBundledWorker:
             queue, "w", lease_seconds=30.0, bundle=3, execute=execute
         )
         assert completed == 2
-        assert set(queue.results()) == {"00000-fine", "00002-fine"}
-        assert "injected" in queue.failures()["00001-bad"]
+        assert set(_results(queue)) == {"00000-fine", "00002-fine"}
+        assert "injected" in _errors(queue)["00001-bad"]
 
 
 class TestSharedFrameHygiene:

@@ -34,11 +34,25 @@ def _mp_context():
     )
 
 
+def _results(queue):
+    """Every completed result, walked page by page."""
+    out, cursor = {}, None
+    while True:
+        page, cursor = queue.results_page(after=cursor)
+        if not page:
+            return out
+        out.update(page)
+
+
+def _errors(queue):
+    """Dead-lettered job id -> its error text."""
+    return {k: v["error"] for k, v in queue.failure_details().items()}
+
+
 def _claim_and_die_http(url, lease_seconds):
     """Worker that dies mid-job over the wire: claims, never acks."""
     queue = HttpJobQueue(url)
-    job = queue.claim("doomed-http", lease_seconds=lease_seconds)
-    assert job is not None
+    assert queue.claim_batch("doomed-http", lease_seconds=lease_seconds)
     os._exit(1)
 
 
@@ -66,33 +80,34 @@ class TestHttpProtocol:
     def test_submit_claim_ack_cycle(self, http_queue):
         job_id = http_queue.submit({"x": 1}, job_id="job-a")
         assert http_queue.stats().pending == 1
-        job = http_queue.claim("w1", lease_seconds=30.0)
+        [job] = http_queue.claim_batch("w1", lease_seconds=30.0)
         assert job.job_id == job_id and job.spec == {"x": 1}
         assert job.attempts == 0
-        assert http_queue.claim("w2", lease_seconds=30.0) is None
+        assert http_queue.claim_batch("w2", lease_seconds=30.0) == []
         assert http_queue.ack(job_id, {"ok": True}, worker_id="w1")
         stats = http_queue.stats()
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
-        assert http_queue.results() == {job_id: {"ok": True}}
+        assert _results(http_queue) == {job_id: {"ok": True}}
         assert http_queue.finished_ids() == {job_id}
 
     def test_submit_is_idempotent(self, http_queue):
         http_queue.submit({"x": 1}, job_id="dup")
         http_queue.submit({"x": 2}, job_id="dup")
         assert http_queue.stats().pending == 1
-        assert http_queue.claim("w", lease_seconds=30.0).spec == {"x": 1}
+        [job] = http_queue.claim_batch("w", lease_seconds=30.0)
+        assert job.spec == {"x": 1}
 
     def test_fail_requeues_then_dead_letters(self, http_queue):
         http_queue.submit({"x": 1}, job_id="flaky")  # max_attempts=2
-        job = http_queue.claim("w", lease_seconds=30.0)
+        [job] = http_queue.claim_batch("w", lease_seconds=30.0)
         http_queue.fail(job.job_id, "boom 1")
         assert http_queue.stats().pending == 1
-        job = http_queue.claim("w", lease_seconds=30.0)
+        [job] = http_queue.claim_batch("w", lease_seconds=30.0)
         assert job.attempts == 1
         http_queue.fail(job.job_id, "boom 2")
         stats = http_queue.stats()
         assert (stats.pending, stats.failed) == (0, 1)
-        assert "boom 2" in http_queue.failures()["flaky"]
+        assert "boom 2" in _errors(http_queue)["flaky"]
 
     def test_claim_batch_is_one_round_trip(self, http_queue):
         for index in range(5):
@@ -109,19 +124,27 @@ class TestHttpProtocol:
             assert http_queue.ack(job.job_id, {"ok": True})
         assert http_queue.stats().done == 5
 
-    def test_claim_batch_wire_response_keeps_single_job_field(
-        self, http_queue
-    ):
-        """The batched /claim response carries "jobs" plus the legacy
-        "job" (first-of-bundle) so pre-batching clients keep working."""
-        http_queue.submit({"x": 1}, job_id="compat")
+    def test_claim_wire_response_is_always_a_jobs_list(self, http_queue):
+        """/claim answers {"jobs": [...]} whatever the batch size, and
+        a request without "batch" claims one job."""
+        for index in range(3):
+            http_queue.submit({"x": index}, job_id=f"job-{index}")
+        payload = http_queue._request(
+            "POST", "/claim", {"worker_id": "w", "lease_seconds": 30.0}
+        )
+        assert payload == {
+            "jobs": [{"job_id": "job-0", "spec": {"x": 0}, "attempts": 0}]
+        }
         payload = http_queue._request(
             "POST",
             "/claim",
-            {"worker_id": "w", "lease_seconds": 30.0, "batch": 2},
+            {"worker_id": "w", "lease_seconds": 30.0, "batch": 5},
         )
-        assert [doc["job_id"] for doc in payload["jobs"]] == ["compat"]
-        assert payload["job"]["job_id"] == "compat"
+        assert [doc["job_id"] for doc in payload["jobs"]] == ["job-1", "job-2"]
+        payload = http_queue._request(
+            "POST", "/claim", {"worker_id": "w", "lease_seconds": 30.0}
+        )
+        assert payload == {"jobs": []}
 
     def test_claim_batch_rejects_nonpositive_batch(self, http_queue):
         # client-side: before any request goes out
@@ -141,27 +164,47 @@ class TestHttpProtocol:
         request per unfinished job."""
         for name in ("burned", "fresh"):
             http_queue.submit({"x": 1}, job_id=name)
-        assert http_queue.claim("w", lease_seconds=0.05).job_id == "burned"
+        [job] = http_queue.claim_batch("w", lease_seconds=0.05)
+        assert job.job_id == "burned"
         time.sleep(0.08)
         assert http_queue.reap_expired() == ["burned"]
         counts = http_queue.attempts_map(["burned", "fresh", "unknown"])
         assert counts == {"burned": 1, "fresh": 0, "unknown": 0}
         assert http_queue.attempts_map([]) == {}
-        # the single-job wire form stays intact
-        assert http_queue.attempts("burned") == 1
+
+    def test_attempts_map_carries_thousands_of_ids(self, http_queue):
+        """The ids ride in the POST body: 4000 sweep-style ids would
+        overflow the server's 64 KiB request line in a query string
+        (HTTP 414)."""
+        ids = [f"{index:05d}-9f2ac81d0b" for index in range(4000)]
+        http_queue.submit({"x": 1}, job_id=ids[0])
+        [job] = http_queue.claim_batch("w", lease_seconds=30.0)
+        http_queue.fail(job.job_id, "boom")
+        counts = http_queue.attempts_map(ids)
+        assert len(counts) == 4000
+        assert counts[ids[0]] == 1
+        assert set(counts.values()) == {0, 1}
+
+    def test_removed_wire_forms_are_gone(self, http_queue):
+        with pytest.raises(HttpQueueError, match="404"):
+            http_queue._request("GET", "/failures")
+        with pytest.raises(HttpQueueError, match="404"):
+            http_queue._request("GET", "/attempts", query={"job_id": "x"})
+        with pytest.raises(HttpQueueError, match="400"):
+            http_queue._request("POST", "/attempts", {"job_ids": "a,b"})
 
     def test_lease_expiry_reaps_over_the_wire(self, http_queue):
         http_queue.submit({"x": 1}, job_id="leased")
-        assert http_queue.claim("w1", lease_seconds=0.05) is not None
+        assert http_queue.claim_batch("w1", lease_seconds=0.05)
         time.sleep(0.08)
         assert http_queue.reap_expired() == ["leased"]
-        job = http_queue.claim("w2", lease_seconds=30.0)
+        [job] = http_queue.claim_batch("w2", lease_seconds=30.0)
         assert job.job_id == "leased" and job.attempts == 1
 
     def test_results_paginate(self, http_queue):
         for i in range(7):
             job_id = http_queue.submit({"n": i}, job_id=f"{i:05d}-x")
-            job = http_queue.claim("w", lease_seconds=30.0)
+            [job] = http_queue.claim_batch("w", lease_seconds=30.0)
             http_queue.ack(job.job_id, {"n": job.spec["n"]})
         page, cursor = http_queue.results_page(limit=3)
         assert sorted(page) == ["00000-x", "00001-x", "00002-x"]
@@ -169,7 +212,7 @@ class TestHttpProtocol:
         page, cursor = http_queue.results_page(after=cursor, limit=3)
         assert sorted(page) == ["00003-x", "00004-x", "00005-x"]
         # drained via pages, reassembled complete
-        assert len(http_queue.results()) == 7
+        assert len(_results(http_queue)) == 7
 
     def test_health_and_heartbeat_feed_stats(self, http_queue):
         health = http_queue.health()
@@ -233,7 +276,7 @@ class TestObservabilityEndpoints:
 
     def test_metrics_merges_worker_snapshots_and_queue_gauges(self, http_queue):
         http_queue.submit({"x": 1}, job_id="j1")
-        job = http_queue.claim("w1", lease_seconds=30.0)
+        [job] = http_queue.claim_batch("w1", lease_seconds=30.0)
         http_queue.ack(job.job_id, {"ok": True})
         for worker_id, completed in (("w1", 3), ("w2", 2)):
             http_queue.heartbeat(self._beat(
@@ -332,30 +375,30 @@ class TestStaleAck:
         double-aggregation."""
         queue = any_queue
         queue.submit({"x": 1}, job_id="raced")
-        slow = queue.claim("w1", lease_seconds=0.05)
+        [slow] = queue.claim_batch("w1", lease_seconds=0.05)
         time.sleep(0.08)
         assert queue.reap_expired() == ["raced"]
-        fast = queue.claim("w2", lease_seconds=30.0)
+        [fast] = queue.claim_batch("w2", lease_seconds=30.0)
         assert queue.ack(fast.job_id, {"from": "w2"}, worker_id="w2") is True
         # the straggler returns: job is already terminal
         assert queue.ack(slow.job_id, {"from": "w1"}, worker_id="w1") is False
         assert queue.stats().done == 1
-        assert queue.results()["raced"] == {"from": "w2"}
+        assert _results(queue)["raced"] == {"from": "w2"}
 
     def test_ack_after_reassignment_is_rejected(self, any_queue):
         """Straggler acks while the *new* owner still holds the claim:
         the worker-id check must refuse the old owner's result."""
         queue = any_queue
         queue.submit({"x": 1}, job_id="stolen")
-        stale = queue.claim("w1", lease_seconds=0.05)
+        [stale] = queue.claim_batch("w1", lease_seconds=0.05)
         time.sleep(0.08)
         queue.reap_expired()
-        assert queue.claim("w2", lease_seconds=30.0) is not None
+        assert queue.claim_batch("w2", lease_seconds=30.0)
         assert queue.ack(stale.job_id, {"from": "w1"}, worker_id="w1") is False
         stats = queue.stats()
         assert (stats.claimed, stats.done) == (1, 0)  # w2 still owns it
         assert queue.ack(stale.job_id, {"from": "w2"}, worker_id="w2") is True
-        assert queue.results()["stolen"] == {"from": "w2"}
+        assert _results(queue)["stolen"] == {"from": "w2"}
 
     def test_worker_loop_drops_stale_ack(self, any_queue):
         """run_worker itself must not count a stale ack as completed."""
@@ -369,8 +412,7 @@ class TestStaleAck:
             # the job, so w1's eventual ack must be stale
             time.sleep(0.08)
             queue.reap_expired()
-            stolen = queue.claim("w2", lease_seconds=30.0)
-            if stolen is not None:
+            for stolen in queue.claim_batch("w2", lease_seconds=30.0):
                 queue.ack(stolen.job_id, {"late": False}, worker_id="w2")
                 done_elsewhere[stolen.job_id] = True
             return {"late": True}
@@ -381,7 +423,7 @@ class TestStaleAck:
         )
         assert done_elsewhere  # the race actually happened
         assert completed == 0  # w1's ack was stale, not counted
-        assert queue.results()["slowjob"] == {"late": False}
+        assert _results(queue)["slowjob"] == {"late": False}
 
 
 class TestHttpSweepParity:
@@ -580,10 +622,10 @@ class TestAutoscaler:
         assert scaler.step()["action"] == "scale-up:2"
         # drain the queue; idle fleet scales to nothing after cooldown
         while True:
-            job = queue.claim("w", lease_seconds=30.0)
-            if job is None:
+            jobs = queue.claim_batch("w", lease_seconds=30.0)
+            if not jobs:
                 break
-            queue.ack(job.job_id, {})
+            queue.ack(jobs[0].job_id, {})
         clock["t"] = 30.0
         summary = scaler.step()
         assert summary["action"] == "scale-down:4"
@@ -599,7 +641,7 @@ class TestAutoscaler:
         )
         scaler.step()
         assert len(scaler.workers) == 1
-        assert queue.claim("w", lease_seconds=30.0) is not None
+        assert queue.claim_batch("w", lease_seconds=30.0)
         clock["t"] = 100.0
         # claimed=1 keeps desired at 1 and forbids termination
         assert scaler.step()["action"] == "hold"
@@ -648,6 +690,6 @@ class TestAutoscaler:
             finally:
                 scaler.shutdown()
             assert queue.stats().done == len(specs)
-            assert len(queue.results()) == len(specs)
+            assert len(_results(queue)) == len(specs)
             # heartbeats from the autoscaled workers reached /stats
             assert queue.fleet()
