@@ -12,7 +12,9 @@ These are the inference-grade primitives every network module in
 
 Every convolution contracts through a BLAS GEMM:
 
-* direct convolution: im2col columns, ``(C_out, C_in*kH*kW) @ cols``;
+* direct convolution: im2col columns in blocks of output rows, each
+  block ``(C_out, C_in*kH*kW) @ cols`` written in place into the
+  output, so a block's columns stay in cache;
 * transposed convolution: all kernel stamps at once,
   ``(C_out*kH*kW, C_in) @ (C_in, H*W)``, then a col2im scatter-add;
 * deformable convolution (:mod:`repro.nn.deform`): the channel-last
@@ -111,13 +113,30 @@ def conv2d(
 
     Shapes: x (C_in, H, W), weight (C_out, C_in, kH, kW) -> (C_out, H_out,
     W_out).
+
+    A row-blocked im2col GEMM: the padded input is unfolded one slab
+    of output rows at a time, about :data:`_CONV_BLOCK_VALUES` column
+    values per slab, and each slab's ``(C_out, C_in*kH*kW) @ cols`` is
+    written in place into its rows of the output.  A block's columns
+    stay in cache instead of streaming through DRAM.  A map whose
+    columns fit in one block runs as a single GEMM.  Each output value
+    is the same dot product either way, so blocking moves results by
+    at most the BLAS build's ulp-level drift.
     """
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in:
         raise ValueError(f"input has {x.shape[0]} channels, weight expects {c_in}")
     padded = pad2d(x, padding)
-    cols, (ho, wo) = im2col(padded, (kh, kw), stride)
-    out = weight.reshape(c_out, -1) @ cols
+    ho = (padded.shape[1] - kh) // stride + 1
+    wo = (padded.shape[2] - kw) // stride + 1
+    w_mat = weight.reshape(c_out, -1)
+    out = np.empty((c_out, ho * wo), dtype=np.result_type(padded, weight))
+    block = max(1, _CONV_BLOCK_VALUES // max(1, w_mat.shape[1] * wo))
+    for r0 in range(0, ho, block):
+        r1 = min(r0 + block, ho)
+        slab = padded[:, r0 * stride : (r1 - 1) * stride + kh]
+        cols, _ = im2col(slab, (kh, kw), stride)
+        np.matmul(w_mat, cols, out=out[:, r0 * wo : r1 * wo])
     out = out.reshape(c_out, ho, wo)
     if bias is not None:
         out += bias[:, None, None]
@@ -164,37 +183,31 @@ def conv_transpose2d(
     return out
 
 
-def max_pool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
-    """Max pooling over (C, H, W); trailing rows/cols that do not fill a
-    window are dropped (floor semantics)."""
+def _pool_windows(x: np.ndarray, kernel: int, stride: int | None) -> np.ndarray:
+    """Read-only (C, H_out, W_out, k, k) view of the pooling windows;
+    ``stride`` defaults to ``kernel``."""
     stride = stride or kernel
     c, h, w = x.shape
     ho = (h - kernel) // stride + 1
     wo = (w - kernel) // stride + 1
     sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(c, ho, wo, kernel, kernel),
         strides=(sc, sh * stride, sw * stride, sh, sw),
         writeable=False,
     )
-    return windows.max(axis=(3, 4))
+
+
+def max_pool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
+    """Max pooling over (C, H, W); trailing rows/cols that do not fill a
+    window are dropped (floor semantics)."""
+    return _pool_windows(x, kernel, stride).max(axis=(3, 4))
 
 
 def avg_pool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
     """Average pooling with the same window semantics as max_pool2d."""
-    stride = stride or kernel
-    c, h, w = x.shape
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
-    sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, ho, wo, kernel, kernel),
-        strides=(sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    return windows.mean(axis=(3, 4))
+    return _pool_windows(x, kernel, stride).mean(axis=(3, 4))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -220,6 +233,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     expd = np.exp(shifted)
     return expd / expd.sum(axis=axis, keepdims=True)
 
+
+#: Column values per block in :func:`conv2d` (1 MiB of float64): one
+#: block of im2col columns then stays in a per-core L2 cache instead of
+#: streaming through DRAM.
+_CONV_BLOCK_VALUES = 1 << 17
 
 #: Samples per block in :func:`bilinear_sample`, as a count of output
 #: values: a block's corner temporaries (samples x C float64, 512 KiB)

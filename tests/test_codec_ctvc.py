@@ -70,6 +70,30 @@ class TestClosedLoop:
         decoder_recon = net.decode_inter(packet, frames[0])
         assert np.array_equal(encoder_recon, decoder_recon)
 
+    def test_encoder_decoder_exact_match_row_blocked(self, frames, monkeypatch):
+        """Force conv2d onto small row blocks: the closed loop must stay
+        bit-exact with the multi-block path in both directions."""
+        from repro.nn import functional as F
+
+        monkeypatch.setattr(F, "_CONV_BLOCK_VALUES", 1 << 13)
+        calls = {"conv2d": 0, "im2col": 0}
+        conv2d, im2col = F.conv2d, F.im2col
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(F, "conv2d", counted("conv2d", conv2d))
+        monkeypatch.setattr(F, "im2col", counted("im2col", im2col))
+        net = small_net()
+        packet, encoder_recon = net.encode_inter(frames[1], frames[0])
+        decoder_recon = net.decode_inter(packet, frames[0])
+        assert calls["im2col"] > 2 * calls["conv2d"] > 0
+        assert np.array_equal(encoder_recon, decoder_recon)
+
     def test_p_frame_beats_frame_copy(self, frames):
         net = small_net()
         _, recon = net.encode_inter(frames[1], frames[0])

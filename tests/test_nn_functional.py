@@ -40,6 +40,44 @@ class TestConv2d:
         assert ours.shape == ref.shape
         assert np.abs(ours - ref).max() < 1e-10
 
+    @pytest.mark.parametrize(
+        "shape,k,stride,padding,rows",
+        [
+            ((3, 13, 14), 3, 1, 1, 3),  # 5 blocks, the last ragged (1 row)
+            ((3, 13, 14), 3, 1, 0, 4),
+            ((4, 17, 15), 3, 2, 1, 2),
+            ((4, 17, 15), 3, 2, 0, 1),
+            ((3, 29, 35), 4, 2, 1, 3),  # the (3, 290, 354) head, reduced
+            ((2, 11, 12), 4, 1, 0, 1),
+        ],
+    )
+    def test_row_blocks_match_scipy(self, rng, monkeypatch, shape, k, stride, padding, rows):
+        """With the block forced down to ``rows`` output rows, conv2d
+        runs several GEMMs (the last one possibly ragged) and still
+        agrees with the scipy reference."""
+        c_in, h, w = shape
+        x = rng.standard_normal(shape)
+        wt = rng.standard_normal((5, c_in, k, k))
+        b = rng.standard_normal(5)
+        ho = F.conv_output_size(h, k, stride, padding)
+        wo = F.conv_output_size(w, k, stride, padding)
+        monkeypatch.setattr(F, "_CONV_BLOCK_VALUES", c_in * k * k * wo * rows)
+        slabs = []
+        im2col = F.im2col
+
+        def counting_im2col(*args, **kwargs):
+            cols, size = im2col(*args, **kwargs)
+            slabs.append(size[0])
+            return cols, size
+
+        monkeypatch.setattr(F, "im2col", counting_im2col)
+        ours = F.conv2d(x, wt, b, stride, padding)
+        ref = conv2d_reference(x, wt, b, stride, padding)
+        assert ours.shape == ref.shape == (5, ho, wo)
+        assert np.abs(ours - ref).max() < 1e-10
+        assert slabs == [min(rows, ho - r0) for r0 in range(0, ho, rows)]
+        assert len(slabs) > 1
+
     def test_1x1_conv_is_channel_mix(self, rng):
         x = rng.standard_normal((4, 6, 6))
         w = rng.standard_normal((2, 4, 1, 1))
