@@ -323,6 +323,10 @@ class CTVCNet:
         alpha_r = f16_from_bits(f16_bits(self._ls_gain(residual, residual_hat)))
 
         f_rec = prediction + alpha_r * residual_hat
+        # Each is a full-resolution feature map; release them so they do
+        # not sit under frame reconstruction's own high-water mark.
+        del f_cur, f_ref, motion_feature, motion_hat, motion_dec
+        del prediction, residual, residual_hat
         recon = np.clip(self.frame_reconstruction(f_rec), 0.0, 255.0)
 
         packet = FramePacket(frame_type="P")

@@ -37,6 +37,16 @@ def deform_conv2d(
     Shapes: x (C_in, H, W); offsets (2*groups*kH*kW, H_out, W_out);
     weight (C_out, C_in, kH, kW).  Sampling clamps at borders (the
     hardware's gather unit does the same).
+
+    Each offset group's channels are copied once per call into a
+    channel-last ``(H, W, C_in/groups)`` table.  The output is then made
+    in blocks of rows, about ``F._CONV_BLOCK_VALUES`` sampled values per
+    group and block.  For each group, one CSR product of
+    :func:`repro.nn.functional.bilinear_sample` gathers the block's
+    kH*kW displaced taps, and one GEMM adds their contraction into the
+    block's output columns.  A block's samples stay in cache, and the
+    groups add up in the same order in every block, so the block size
+    moves results by at most the BLAS build's ulp-level drift.
     """
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in:
@@ -58,17 +68,23 @@ def deform_conv2d(
     tap_y = np.arange(kh)[:, None]
     tap_x = np.arange(kw)[None, :]
     group_size = c_in // groups
+    channels = [slice(g * group_size, (g + 1) * group_size) for g in range(groups)]
+    tables = [np.ascontiguousarray(x[ch].transpose(1, 2, 0)) for ch in channels]
+    w_mats = [weight[:, ch].transpose(0, 2, 3, 1).reshape(c_out, -1) for ch in channels]
 
     out = np.zeros((c_out, ho * wo))
-    for g in range(groups):
-        channels = slice(g * group_size, (g + 1) * group_size)
-        # All kh*kw displaced taps of this group in one batched bilinear
-        # lookup: (ho, wo, kh, kw, C_g), contracted by one GEMM.
-        ys = base_y + tap_y + off[g, 0]
-        xs = base_x + tap_x + off[g, 1]
-        sampled = F.bilinear_sample(x[channels], ys, xs)
-        w_mat = weight[:, channels].transpose(0, 2, 3, 1).reshape(c_out, -1)
-        out += w_mat @ sampled.reshape(ho * wo, -1).T
+    block = max(1, F._CONV_BLOCK_VALUES // (wo * kh * kw * group_size))
+    for r0 in range(0, ho, block):
+        r1 = min(r0 + block, ho)
+        cols = out[:, r0 * wo : r1 * wo]
+        for g in range(groups):
+            # All kh*kw displaced taps of this group and row block in one
+            # sparse interpolation product, (r, wo, kh, kw, C_g), then
+            # contracted by one GEMM into the block's output columns.
+            ys = base_y[r0:r1] + tap_y + off[g, 0, r0:r1]
+            xs = base_x + tap_x + off[g, 1, r0:r1]
+            sampled = F.bilinear_sample(tables[g], ys, xs)
+            cols += w_mats[g] @ sampled.reshape((r1 - r0) * wo, -1).T
     out = out.reshape(c_out, ho, wo)
     if bias is not None:
         out += bias[:, None, None]

@@ -17,21 +17,25 @@ Every convolution contracts through a BLAS GEMM:
   output, so a block's columns stay in cache;
 * transposed convolution: all kernel stamps at once,
   ``(C_out*kH*kW, C_in) @ (C_in, H*W)``, then a col2im scatter-add;
-* deformable convolution (:mod:`repro.nn.deform`): the channel-last
-  ``(*S, C)`` result of :func:`bilinear_sample` contracted per offset
-  group.
+* deformable convolution (:mod:`repro.nn.deform`): in blocks of
+  output rows, each offset group's displaced taps are gathered by
+  :func:`bilinear_sample` (one sparse CSR interpolation product over a
+  channel-last ``(H, W, C)`` table) and contracted by one GEMM into the
+  block's output columns.
 
 Summation order therefore follows the BLAS build, so results may move
 in the last ulp between builds; within one build they are
-deterministic.  Correctness is pinned against ``scipy.signal`` and
-per-tap references in the test suite, and the fast Winograd/FTA
-kernels in :mod:`repro.core` are in turn pinned against these
-implementations.
+deterministic.  The bilinear interpolation itself does no reordering:
+it is bit-identical to the four-corner formula.  Correctness is pinned
+against ``scipy.signal`` and per-tap references in the test suite, and
+the fast Winograd/FTA kernels in :mod:`repro.core` are in turn pinned
+against these implementations.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "pad2d",
@@ -234,64 +238,63 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return expd / expd.sum(axis=axis, keepdims=True)
 
 
-#: Column values per block in :func:`conv2d` (1 MiB of float64): one
-#: block of im2col columns then stays in a per-core L2 cache instead of
-#: streaming through DRAM.
+#: Column values per block in :func:`conv2d` and
+#: :func:`repro.nn.deform.deform_conv2d` (1 MiB of float64): one block
+#: of im2col columns or sampled taps then stays in a per-core L2 cache
+#: instead of streaming through DRAM.
 _CONV_BLOCK_VALUES = 1 << 17
 
-#: Samples per block in :func:`bilinear_sample`, as a count of output
-#: values: a block's corner temporaries (samples x C float64, 512 KiB)
-#: then stay in a per-core L2 cache instead of streaming through DRAM.
-_SAMPLE_BLOCK_VALUES = 1 << 16
 
+def bilinear_sample(table: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample an (H, W, C) table at fractional coordinates, clamping at borders.
 
-def bilinear_sample(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample (C, H, W) at fractional coordinates with border clamping.
+    ``ys``/``xs`` share an arbitrary shape S; the result is ``(*S, C)``,
+    so a caller can contract it with one GEMM.  This is the sampling
+    kernel of the deformable convolution (DfConv) in the paper's
+    deformable compensation module.  The table is channel-last so that
+    each corner reads one contiguous row of C values; the caller makes
+    that layout once and reuses it across calls.
 
-    ``ys``/``xs`` share an arbitrary shape S; the result is channel-last,
-    ``(*S, C)``, so a caller can contract it with one GEMM.  This is the
-    sampling kernel of the deformable convolution (DfConv) in the
-    paper's deformable compensation module.
-
-    The gather reads a channel-last ``(H*W, C)`` copy of the source: each
-    corner index fetches one contiguous row of C values.  Samples are
-    taken in cache-sized blocks; per block the four corner weights are
-    formed once and the corners accumulate in place.
+    The interpolation is one sparse product: a CSR matrix with four
+    entries per sample, the corner weights ``gy*gx, gy*fx, fy*gx,
+    fy*fx`` in corner order ``y0x0, y0x1, y1x0, y1x1``, times the
+    ``(H*W, C)`` table.  Corners that border clamping makes coincide
+    stay separate entries.  SciPy's CSR-times-dense loop starts each
+    output row from zero and adds the four weighted corners in that
+    order, so the result is bit-identical to the four-corner formula
+    ``((c00*w00 + c01*w01) + c10*w10) + c11*w11``.
     """
-    c, h, w = x.shape
+    h, w, c = table.shape
     ys, xs = np.broadcast_arrays(ys, xs)
     shape = ys.shape
-    ys = ys.reshape(-1)
-    xs = xs.reshape(-1)
-    rows = np.ascontiguousarray(
-        x.transpose(1, 2, 0), dtype=np.result_type(x, ys, xs, 1.0)
-    ).reshape(h * w, c)
-    out = np.empty((ys.size, c), dtype=rows.dtype)
-    block = max(1, _SAMPLE_BLOCK_VALUES // c)
-    for start in range(0, ys.size, block):
-        part = slice(start, start + block)
-        by = np.clip(ys[part], 0.0, h - 1.0)
-        bx = np.clip(xs[part], 0.0, w - 1.0)
-        y0 = np.floor(by)
-        x0 = np.floor(bx)
-        fy = (by - y0)[:, None]
-        fx = (bx - x0)[:, None]
-        y0 = y0.astype(np.intp)
-        x0 = x0.astype(np.intp)
-        row0 = y0 * w
-        row1 = np.minimum(y0 + 1, h - 1) * w
-        x1 = np.minimum(x0 + 1, w - 1)
-        gy = 1.0 - fy
-        gx = 1.0 - fx
-        acc = out[part]
-        np.take(rows, row0 + x0, axis=0, out=acc)
-        acc *= gy * gx
-        for index, weight in (
-            (row0 + x1, gy * fx),
-            (row1 + x0, fy * gx),
-            (row1 + x1, fy * fx),
-        ):
-            corner = rows[index]
-            corner *= weight
-            acc += corner
-    return out.reshape(*shape, c)
+    by = np.clip(ys.reshape(-1), 0.0, h - 1.0)
+    bx = np.clip(xs.reshape(-1), 0.0, w - 1.0)
+    y0 = np.floor(by)
+    x0 = np.floor(bx)
+    fy = by - y0
+    fx = bx - x0
+    gy = 1.0 - fy
+    gx = 1.0 - fx
+    n = by.size
+    if max(h * w, 4 * n) >= 2**31:
+        raise ValueError(
+            f"{n} samples of a {h}x{w} table overflow 32-bit CSR indices"
+        )
+    # 32-bit indices are what SciPy would pick for these sizes; building
+    # them in that dtype spares it a checked downcast copy per call.
+    y0 = y0.astype(np.int32)
+    x0 = x0.astype(np.int32)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
+    x1 = np.minimum(x0 + 1, w - 1)
+    indices = np.stack((row0 + x0, row0 + x1, row1 + x0, row1 + x1), axis=1)
+    weights = np.stack((gy * gx, gy * fx, fy * gx, fy * fx), axis=1)
+    interp = sparse.csr_matrix(
+        (
+            weights.reshape(-1),
+            indices.reshape(-1),
+            np.arange(0, 4 * n + 1, 4, dtype=np.int32),
+        ),
+        shape=(n, h * w),
+    )
+    return (interp @ table.reshape(h * w, c)).reshape(*shape, c)

@@ -71,13 +71,16 @@ class TestClosedLoop:
         assert np.array_equal(encoder_recon, decoder_recon)
 
     def test_encoder_decoder_exact_match_row_blocked(self, frames, monkeypatch):
-        """Force conv2d onto small row blocks: the closed loop must stay
-        bit-exact with the multi-block path in both directions."""
+        """Force conv2d and deform_conv2d onto small row blocks: the
+        closed loop must stay bit-exact with the multi-block paths in
+        both directions."""
+        from repro.nn import deform
         from repro.nn import functional as F
 
         monkeypatch.setattr(F, "_CONV_BLOCK_VALUES", 1 << 13)
-        calls = {"conv2d": 0, "im2col": 0}
+        calls = {"conv2d": 0, "im2col": 0, "deform_conv2d": 0, "bilinear_sample": 0}
         conv2d, im2col = F.conv2d, F.im2col
+        deform_conv2d, bilinear_sample = deform.deform_conv2d, F.bilinear_sample
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -88,10 +91,18 @@ class TestClosedLoop:
 
         monkeypatch.setattr(F, "conv2d", counted("conv2d", conv2d))
         monkeypatch.setattr(F, "im2col", counted("im2col", im2col))
+        monkeypatch.setattr(
+            deform, "deform_conv2d", counted("deform_conv2d", deform_conv2d)
+        )
+        monkeypatch.setattr(
+            F, "bilinear_sample", counted("bilinear_sample", bilinear_sample)
+        )
         net = small_net()
         packet, encoder_recon = net.encode_inter(frames[1], frames[0])
         decoder_recon = net.decode_inter(packet, frames[0])
         assert calls["im2col"] > 2 * calls["conv2d"] > 0
+        # DfConv has G = 2 offset groups: more than one block per group.
+        assert calls["bilinear_sample"] > 2 * calls["deform_conv2d"] > 0
         assert np.array_equal(encoder_recon, decoder_recon)
 
     def test_p_frame_beats_frame_copy(self, frames):

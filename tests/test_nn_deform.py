@@ -64,6 +64,36 @@ class TestDeformConv2d:
         assert out.shape == (6, ho, wo)
         assert np.abs(out - b[:, None, None] - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_row_blocks_match_per_tap_reference(
+        self, rng, monkeypatch, rows, groups, stride
+    ):
+        """Blocks of 1 or 3 output rows, with a ragged last block on an
+        odd-height map, agree with the per-tap oracle; each block takes
+        one sampling call per group."""
+        x = rng.standard_normal((4, 13, 11))
+        w = rng.standard_normal((6, 4, 3, 3))
+        ho = F.conv_output_size(13, 3, stride, 1)
+        wo = F.conv_output_size(11, 3, stride, 1)
+        monkeypatch.setattr(F, "_CONV_BLOCK_VALUES", wo * 9 * (4 // groups) * rows)
+        blocks = []
+        sample = F.bilinear_sample
+
+        def counting_sample(table, ys, xs):
+            blocks.append(ys.shape[0])
+            return sample(table, ys, xs)
+
+        monkeypatch.setattr(F, "bilinear_sample", counting_sample)
+        offsets = 2.5 * rng.standard_normal((2 * groups * 9, ho, wo))
+        out = deform_conv2d(x, offsets, w, None, stride, 1, groups)
+        ref = _per_tap_reference(x, offsets, w, stride, 1, groups)
+        # ho is 13 or 7, so 3-row blocks end in a ragged 1-row block.
+        sizes = [rows] * (ho // rows) + [ho % rows] * (ho % rows > 0)
+        assert blocks == [size for size in sizes for _ in range(groups)]
+        assert np.abs(out - ref).max() < 1e-12
+
     def test_zero_offsets_match_plain_conv(self, rng):
         """DfConv with all-zero offsets must equal the regular conv."""
         x = rng.standard_normal((4, 10, 10))

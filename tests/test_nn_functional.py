@@ -200,57 +200,92 @@ class TestActivations:
         assert np.allclose(F.softmax(x), F.softmax(x + 1000.0))
 
 
+def four_corner_reference(table, ys, xs):
+    """The bilinear gather written out corner by corner, in the order
+    ``y0x0, y0x1, y1x0, y1x1``: the oracle the CSR kernel must match
+    bit for bit."""
+    h, w, _ = table.shape
+    by = np.clip(ys, 0.0, h - 1.0)
+    bx = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(by)
+    x0 = np.floor(bx)
+    fy = (by - y0)[..., None]
+    fx = (bx - x0)[..., None]
+    gy = 1.0 - fy
+    gx = 1.0 - fx
+    y0 = y0.astype(int)
+    x0 = x0.astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    out = table[y0, x0] * (gy * gx)
+    out += table[y0, x1] * (gy * fx)
+    out += table[y1, x0] * (fy * gx)
+    out += table[y1, x1] * (fy * fx)
+    return out
+
+
 class TestBilinearSample:
     def test_integer_coords_exact(self, rng):
-        x = rng.standard_normal((2, 6, 6))
+        table = rng.standard_normal((6, 6, 2))
         ys, xs = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
-        out = F.bilinear_sample(x, ys, xs)
-        assert out.shape == (6, 6, 2)  # channel-last (*S, C)
-        assert np.abs(out - x.transpose(1, 2, 0)).max() < 1e-12
+        out = F.bilinear_sample(table, ys, xs)
+        assert out.shape == (6, 6, 2)  # (*S, C)
+        assert np.abs(out - table).max() < 1e-12
 
     def test_halfway_interpolation(self):
-        x = np.zeros((1, 2, 2))
-        x[0] = [[0.0, 2.0], [4.0, 6.0]]
-        out = F.bilinear_sample(x, np.array([[0.5]]), np.array([[0.5]]))
+        table = np.array([[0.0, 2.0], [4.0, 6.0]])[:, :, None]
+        out = F.bilinear_sample(table, np.array([[0.5]]), np.array([[0.5]]))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(3.0)
 
     def test_border_clamp(self):
-        x = np.ones((2, 4, 4)) * np.array([5.0, -1.0])[:, None, None]
-        out = F.bilinear_sample(x, np.array([[-3.0]]), np.array([[99.0]]))
+        table = np.ones((4, 4, 2)) * np.array([5.0, -1.0])
+        out = F.bilinear_sample(table, np.array([[-3.0]]), np.array([[99.0]]))
         assert out.shape == (1, 1, 2)
         assert out[0, 0] == pytest.approx([5.0, -1.0])
 
     def test_non_contiguous_input_matches_copy(self, rng):
-        x = rng.standard_normal((6, 7, 9))[1::2]
-        assert not x.flags.c_contiguous
+        table = rng.standard_normal((3, 7, 9)).transpose(1, 2, 0)
+        assert not table.flags.c_contiguous
         ys = rng.uniform(-1.0, 8.0, (5, 3))
         xs = rng.uniform(-1.0, 10.0, (5, 3))
-        out = F.bilinear_sample(x, ys, xs)
-        assert np.array_equal(out, F.bilinear_sample(np.ascontiguousarray(x), ys, xs))
+        out = F.bilinear_sample(table, ys, xs)
+        expected = F.bilinear_sample(np.ascontiguousarray(table), ys, xs)
+        assert np.array_equal(out, expected)
 
-    def test_blocks_match_channel_first_reference(self, rng):
-        """Enough samples to span several gather blocks (the last one
-        partial) agree with a direct channel-first formulation."""
-        c = 64
-        x = rng.standard_normal((c, 5, 7))
-        n = F._SAMPLE_BLOCK_VALUES // c * 5 // 2
-        ys = rng.uniform(-1.0, 6.0, n)
-        xs = rng.uniform(-1.0, 8.0, n)
-        out = F.bilinear_sample(x, ys, xs)
-        cy = np.clip(ys, 0.0, 4.0)
-        cx = np.clip(xs, 0.0, 6.0)
-        y0 = np.floor(cy).astype(int)
-        x0 = np.floor(cx).astype(int)
-        y1 = np.minimum(y0 + 1, 4)
-        x1 = np.minimum(x0 + 1, 6)
-        fy = cy - y0
-        fx = cx - x0
-        ref = (
-            x[:, y0, x0] * (1 - fy) * (1 - fx)
-            + x[:, y0, x1] * (1 - fy) * fx
-            + x[:, y1, x0] * fy * (1 - fx)
-            + x[:, y1, x1] * fy * fx
-        )
-        assert out.shape == (n, c)
-        assert np.abs(out - ref.T).max() < 1e-12
+    @pytest.mark.parametrize("c", [1, 5])
+    @pytest.mark.parametrize("h, w", [(7, 9), (1, 9), (7, 1), (1, 1)])
+    def test_csr_product_bit_identical_to_four_corners(self, rng, h, w, c):
+        """The sparse product does the four-corner formula's exact
+        multiplies and adds in its order: equal, not merely close.  A
+        SciPy build that fused the multiply-adds would fail here."""
+        table = rng.standard_normal((h, w, c))
+        n = 64
+        inside_y = rng.uniform(0.0, h - 1.0, n)
+        inside_x = rng.uniform(0.0, w - 1.0, n)
+        ys = np.concatenate([
+            inside_y,  # fractional
+            np.floor(inside_y),  # exact integers
+            rng.uniform(-4.0, 0.0, n),  # past the top border
+            rng.uniform(h - 1.0, h + 3.0, n),  # past the bottom border
+            inside_y,
+            inside_y,
+        ])
+        xs = np.concatenate([
+            inside_x,
+            np.floor(inside_x),
+            inside_x,
+            inside_x,
+            rng.uniform(-4.0, 0.0, n),  # past the left border
+            rng.uniform(w - 1.0, w + 3.0, n),  # past the right border
+        ])
+        ys = ys.reshape(6, 4, 16)
+        xs = xs.reshape(6, 4, 16)
+        out = F.bilinear_sample(table, ys, xs)
+        assert out.shape == (6, 4, 16, c)
+        assert np.array_equal(out, four_corner_reference(table, ys, xs))
+
+    def test_index_overflow_rejected(self):
+        table = np.empty((1 << 16, 1 << 15, 0))  # 2^31 pixels, no memory
+        with pytest.raises(ValueError, match="32-bit"):
+            F.bilinear_sample(table, np.zeros(1), np.zeros(1))
